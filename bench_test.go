@@ -247,13 +247,13 @@ func BenchmarkCoveringVsPruning(b *testing.B) {
 
 	b.Run("covering", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ix := covering.NewIndex()
+			ix := covering.NewForest()
 			for _, s := range subs {
-				ix.Insert(s)
+				ix.Insert(s, 0)
 			}
-			forward := ix.Forwardable()
+			forward := ix.Roots() + ix.Opaque()
 			if i == b.N-1 {
-				b.ReportMetric(1-float64(len(forward))/float64(len(subs)), "entriesDropped")
+				b.ReportMetric(1-float64(forward)/float64(len(subs)), "entriesDropped")
 			}
 		}
 	})
@@ -280,10 +280,10 @@ func BenchmarkCoveringVsPruning(b *testing.B) {
 	// covered set must deliver identical matches through the cover's
 	// generality (sanity assertion, not a metric).
 	b.Run("soundness", func(b *testing.B) {
-		ix := covering.NewIndex()
+		ix := covering.NewForest()
 		eng := filter.New()
 		for _, s := range subs[:500] {
-			ix.Insert(s)
+			ix.Insert(s, 0)
 			if err := eng.Register(s); err != nil {
 				b.Fatal(err)
 			}

@@ -33,9 +33,11 @@
 //	brokerd -id s1 -fleet-serve :9001
 //	brokerd -id coord -fleet 127.0.0.1:9000,127.0.0.1:9001 -clients :8000
 //
-// -fleet is exclusive with the overlay flags (-listen, -peer, -peers):
-// shards hold partitions as local entries, so a coordinator is not an
-// overlay node.
+// -fleet is exclusive with the overlay flags (-listen, -peer, -peers,
+// -snapshot): shards hold partitions as local entries, so a coordinator is
+// not an overlay node. Client sessions are served by the same code in both
+// modes, so -wal-dir durables, delivery policies and protocol-error handling
+// work against a coordinator exactly as against a single broker.
 package main
 
 import (
@@ -91,11 +93,8 @@ func run(args []string, stop <-chan os.Signal) error {
 		return err
 	}
 
-	if *fleetAddrs != "" {
-		if *listen != "" || *peers != "" || len(peerAddrs) > 0 || *fleetServe != "" {
-			return fmt.Errorf("-fleet (coordinator mode) excludes -listen, -peer, -peers, and -fleet-serve")
-		}
-		return runFleetCoordinator(*id, *fleetAddrs, *clients, *statsEvery, stop)
+	if *fleetAddrs != "" && (*listen != "" || *peers != "" || len(peerAddrs) > 0 || *fleetServe != "" || *snapshot != "") {
+		return fmt.Errorf("-fleet (coordinator mode) excludes -listen, -peer, -peers, -fleet-serve, and -snapshot")
 	}
 
 	var dim core.Dimension
@@ -109,21 +108,60 @@ func run(args []string, stop <-chan os.Signal) error {
 	default:
 		return fmt.Errorf("unknown -dimension %q (want sel, eff, mem)", *dimension)
 	}
-
-	// Workers and shards auto-size from GOMAXPROCS when left at 0.
-	b, err := broker.New(broker.Config{
-		ID:              *id,
-		Dimension:       dim,
-		ObserveEvents:   true,
-		MatchWorkers:    *matchWorkers,
-		MatchShards:     *matchShards,
-		DisableCovering: !*covering,
-	})
-	if err != nil {
-		return err
-	}
 	logger := log.New(os.Stderr, *id+" ", log.LstdFlags)
-	srv := transport.NewServer(b, func(d broker.Delivery) {
+
+	// The router is the only thing the two modes differ in: one routing
+	// broker, or a coordinator over the listed shards. Everything a client
+	// session sees is the same server over either.
+	var (
+		router   broker.Router
+		b        *broker.Broker // nil in coordinator mode
+		srv      *transport.Server
+		logStats func()
+		mode     string
+	)
+	if *fleetAddrs != "" {
+		coord, err := dialFleet(*fleetAddrs, logger)
+		if err != nil {
+			return err
+		}
+		defer func() { _ = coord.Close() }()
+		router = coord
+		mode = fmt.Sprintf("coordinating %d shards", len(coord.Shards()))
+		logStats = func() {
+			st := coord.Stats()
+			logger.Printf("fleet stats: shards=%v subs=%d index=%d publishes=%d scattered=%d skipped=%d deduped=%d moved=%d",
+				coord.Shards(), coord.NumSubscriptions(), coord.IndexSize(),
+				st.Publishes, st.ShardPublishes, st.ShardsSkipped, st.Deduped, st.Moved)
+		}
+	} else {
+		// Workers and shards auto-size from GOMAXPROCS when left at 0.
+		var err error
+		b, err = broker.New(broker.Config{
+			ID:              *id,
+			Dimension:       dim,
+			ObserveEvents:   true,
+			MatchWorkers:    *matchWorkers,
+			MatchShards:     *matchShards,
+			DisableCovering: !*covering,
+		})
+		if err != nil {
+			return err
+		}
+		router = b
+		mode = fmt.Sprintf("running (dimension %s, match workers %d, shards %d, covering %v; 0 = auto)",
+			dim, *matchWorkers, *matchShards, *covering)
+		logStats = func() {
+			st := srv.Stats()
+			logger.Printf("stats: local=%d remote=%d assoc=%d preds=%d %s",
+				st.LocalSubs, st.RemoteSubs, st.Associations, st.Predicates, st.Counters)
+			if hop := srv.HopLatency(); hop.Count > 0 {
+				logger.Printf("hop latency: %s", hop)
+			}
+			logDeliveryHotspots(st, logger)
+		}
+	}
+	srv = transport.NewServer(router, func(d broker.Delivery) {
 		// Deliveries for subscribers without an attached session are logged;
 		// attached clients receive theirs over their connection.
 		logger.Printf("undeliverable notification for %q (no session): event %d", d.Subscriber, d.Msg.ID)
@@ -157,7 +195,7 @@ func run(args []string, stop <-chan os.Signal) error {
 		logger.Printf("linked to %s", p)
 	}
 	if *snapshot != "" {
-		if err := loadSnapshot(srv, *snapshot, logger); err != nil {
+		if err := loadSnapshot(b, *snapshot, logger); err != nil {
 			return err
 		}
 	}
@@ -207,14 +245,13 @@ func run(args []string, stop <-chan os.Signal) error {
 		statsTick = t.C
 	}
 
-	logger.Printf("running (dimension %s, match workers %d, shards %d, covering %v; 0 = auto)",
-		dim, *matchWorkers, *matchShards, *covering)
+	logger.Print(mode)
 	for {
 		select {
 		case <-stop:
 			logger.Printf("shutting down")
 			if *snapshot != "" {
-				if err := saveSnapshot(srv, *snapshot, logger); err != nil {
+				if err := saveSnapshot(b, *snapshot, logger); err != nil {
 					return err
 				}
 			}
@@ -226,24 +263,15 @@ func run(args []string, stop <-chan os.Signal) error {
 					n, st.PruningsDone, st.PruneRemained, st.Associations)
 			}
 		case <-statsTick:
-			st := srv.Stats()
-			logger.Printf("stats: local=%d remote=%d assoc=%d preds=%d %s",
-				st.LocalSubs, st.RemoteSubs, st.Associations, st.Predicates, st.Counters)
-			if hop := srv.HopLatency(); hop.Count > 0 {
-				logger.Printf("hop latency: %s", hop)
-			}
-			logDeliveryHotspots(st, logger)
+			logStats()
 		}
 	}
 }
 
-// runFleetCoordinator runs the daemon as a fleet coordinator: dial every
-// shard, fold their advertisements into the scatter index, and front the
-// fleet with the client wire protocol.
-func runFleetCoordinator(id, shardList, clients string, statsEvery time.Duration, stop <-chan os.Signal) error {
-	logger := log.New(os.Stderr, id+" ", log.LstdFlags)
+// dialFleet dials every listed shard and joins it to a new coordinator,
+// folding the shards' advertisements into its scatter index.
+func dialFleet(shardList string, logger *log.Logger) (*fleet.Coordinator, error) {
 	coord := fleet.NewCoordinator()
-	defer func() { _ = coord.Close() }()
 	n := 0
 	for _, a := range strings.Split(shardList, ",") {
 		a = strings.TrimSpace(a)
@@ -252,46 +280,21 @@ func runFleetCoordinator(id, shardList, clients string, statsEvery time.Duration
 		}
 		sh, err := fleet.DialShard(fmt.Sprintf("shard%d", n), a)
 		if err != nil {
-			return err
+			_ = coord.Close()
+			return nil, err
 		}
 		if err := coord.AddShard(sh); err != nil {
-			return err
+			_ = sh.Close()
+			_ = coord.Close()
+			return nil, err
 		}
 		logger.Printf("fleet: shard%d at %s", n, a)
 		n++
 	}
 	if n == 0 {
-		return fmt.Errorf("-fleet lists no shard addresses")
+		return nil, fmt.Errorf("-fleet lists no shard addresses")
 	}
-	cs := fleet.NewClientServer(coord)
-	cs.SetLogf(logger.Printf)
-	defer cs.Shutdown()
-	if clients != "" {
-		addr, err := cs.Listen(clients)
-		if err != nil {
-			return err
-		}
-		logger.Printf("client sessions on %s", addr)
-	}
-	var statsTick <-chan time.Time
-	if statsEvery > 0 {
-		t := time.NewTicker(statsEvery)
-		defer t.Stop()
-		statsTick = t.C
-	}
-	logger.Printf("coordinating %d shards", n)
-	for {
-		select {
-		case <-stop:
-			logger.Printf("shutting down")
-			return nil
-		case <-statsTick:
-			st := coord.Stats()
-			logger.Printf("fleet stats: shards=%v subs=%d index=%d publishes=%d scattered=%d skipped=%d deduped=%d moved=%d",
-				coord.Shards(), coord.NumSubscriptions(), coord.IndexSize(),
-				st.Publishes, st.ShardPublishes, st.ShardsSkipped, st.Deduped, st.Moved)
-		}
-	}
+	return coord, nil
 }
 
 // addrList collects a repeatable address flag.
@@ -338,9 +341,11 @@ func logDeliveryHotspots(st broker.Stats, logger *log.Logger) {
 // — accepted connections and managed -peer links, neither of which has a
 // stable identity across restarts — are skipped, which is safe because
 // managed peers replay their entries through the reconnect resync. The
-// logged local/remote counts show what survived. A missing file is a
-// first start, not an error.
-func loadSnapshot(srv *transport.Server, path string, logger *log.Logger) error {
+// logged local/remote counts show what survived. Restored local entries
+// have no session to return to (a session's handle IDs die with it), so
+// their deliveries reach only the undeliverable-notification log. A
+// missing file is a first start, not an error.
+func loadSnapshot(b *broker.Broker, path string, logger *log.Logger) error {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
 		return nil
@@ -349,23 +354,23 @@ func loadSnapshot(srv *transport.Server, path string, logger *log.Logger) error 
 		return err
 	}
 	defer f.Close()
-	if err := srv.ReadSnapshot(f); err != nil {
+	if err := b.ReadSnapshot(f); err != nil {
 		return fmt.Errorf("load snapshot %s: %w", path, err)
 	}
-	st := srv.Stats()
+	st := b.Stats()
 	logger.Printf("restored snapshot %s: %d local, %d remote entries",
 		path, st.LocalSubs, st.RemoteSubs)
 	return nil
 }
 
 // saveSnapshot writes the routing table atomically (temp file + rename).
-func saveSnapshot(srv *transport.Server, path string, logger *log.Logger) error {
+func saveSnapshot(b *broker.Broker, path string, logger *log.Logger) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if err := srv.WriteSnapshot(f); err != nil {
+	if err := b.WriteSnapshot(f); err != nil {
 		_ = f.Close()
 		return fmt.Errorf("write snapshot %s: %w", tmp, err)
 	}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"dimprune/internal/event"
-	"dimprune/internal/subscription"
 	"dimprune/internal/transport"
 )
 
@@ -166,25 +165,64 @@ func freePort(t *testing.T) string {
 	return addr
 }
 
+// TestSnapshotAcrossRestart pins what a snapshot is for: routing state
+// learned over a raw -peers link (stable link IDs in flag order) survives a
+// restart, so events keep flowing toward the neighbor's subscribers without
+// waiting for anyone to resubscribe. Client sessions are not part of it — a
+// session's subscriptions end with the session.
 func TestSnapshotAcrossRestart(t *testing.T) {
-	dir := t.TempDir()
-	snap := filepath.Join(dir, "broker.snap")
-	clientAddr := freePort(t)
+	snap := filepath.Join(t.TempDir(), "broker.snap")
+	linkN, clientsN := freePort(t), freePort(t)
+	stopN := start(t, "-id", "n", "-listen", linkN, "-clients", clientsN)
+	waitDial(t, clientsN)
 
-	// First life: a client subscribes, then the daemon shuts down and
-	// writes the snapshot.
-	stop1 := start(t, "-id", "s0", "-clients", clientAddr, "-snapshot", snap)
-	waitDial(t, clientAddr)
-	conn, err := transport.Dial(clientAddr)
+	// carol holds a handle at the neighbor for the whole test.
+	connN, err := transport.Dial(clientsN)
 	if err != nil {
 		t.Fatal(err)
 	}
-	client := transport.NewClient("carol", conn)
-	if err := client.Subscribe(1, subscription.MustParse(`x = 1`)); err != nil {
+	carol := transport.NewClient("carol", connN)
+	defer carol.Close()
+	h, err := carol.SubscribeExpr(`x = 1`)
+	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(100 * time.Millisecond) // let the frame land
-	client.Close()
+	// publishAt publishes x=1 events at the snapshotting daemon — one, or
+	// one every 20ms until delivered — and waits for carol's handle at the
+	// neighbor to receive an event.
+	publishAt := func(clients string, repeat bool, what string) {
+		t.Helper()
+		conn, err := transport.Dial(clients)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pat := transport.NewClient("pat", conn)
+		defer pat.Close()
+		deadline := time.After(10 * time.Second)
+		for {
+			if err := pat.Publish(event.Build(9).Int("x", 1).Msg()); err != nil {
+				t.Fatal(err)
+			}
+			var again <-chan time.Time
+			if repeat {
+				again = time.After(20 * time.Millisecond)
+			}
+			select {
+			case <-h.C():
+				return
+			case <-deadline:
+				t.Fatal(what)
+			case <-again:
+			}
+		}
+	}
+
+	// First life: the forwarded subscription arrives over the raw link and
+	// becomes a remote entry, which shutdown writes to the snapshot.
+	clients1 := freePort(t)
+	stop1 := start(t, "-id", "s0", "-peers", linkN, "-clients", clients1, "-snapshot", snap)
+	waitDial(t, clients1)
+	publishAt(clients1, true, "subscription never reached the snapshotting daemon")
 	if err := stop1(); err != nil {
 		t.Fatal(err)
 	}
@@ -192,28 +230,18 @@ func TestSnapshotAcrossRestart(t *testing.T) {
 		t.Fatalf("snapshot not written: %v", err)
 	}
 
-	// Second life: the subscription is back without resubscribing.
-	clientAddr2 := freePort(t)
-	stop2 := start(t, "-id", "s0", "-clients", clientAddr2, "-snapshot", snap)
-	waitDial(t, clientAddr2)
-	conn2, err := transport.Dial(clientAddr2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	client2 := transport.NewClient("carol", conn2)
-	defer client2.Close()
-	if err := client2.Publish(event.Build(9).Int("x", 1).Msg()); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case m := <-client2.Notifications():
-		if m.ID != 9 {
-			t.Errorf("notification = %s", m)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("restored subscription did not deliver")
-	}
+	// Second life: nobody resubscribes, yet the restored remote entry
+	// forwards the very first publish over the re-dialed link. One publish
+	// only: the neighbor resyncs a raw link it has heard nothing on after a
+	// second, and a retry would then succeed without any snapshot.
+	clients2 := freePort(t)
+	stop2 := start(t, "-id", "s0", "-peers", linkN, "-clients", clients2, "-snapshot", snap)
+	waitDial(t, clients2)
+	publishAt(clients2, false, "restored remote entry did not forward to the neighbor's client")
 	if err := stop2(); err != nil {
+		t.Fatal(err)
+	}
+	if err := stopN(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -302,16 +330,20 @@ func waitDial(t *testing.T, addr string) {
 
 // TestFleetDaemons drives the fleet flags end to end: two shard daemons, a
 // coordinator daemon over them, and a client session against the
-// coordinator that subscribes and receives a delivery.
+// coordinator that subscribes and receives a delivery. The coordinator runs
+// with -wal-dir, so the same session also holds a durable subscription
+// whose unacked event replays after the coordinator restarts over the same
+// log directory and the same shards.
 func TestFleetDaemons(t *testing.T) {
 	shard0, shard1 := freePort(t), freePort(t)
 	clientAddr := freePort(t)
+	walDir := filepath.Join(t.TempDir(), "wal")
 	stopS0 := start(t, "-id", "s0", "-fleet-serve", shard0)
 	stopS1 := start(t, "-id", "s1", "-fleet-serve", shard1)
 	waitDial(t, shard0)
 	waitDial(t, shard1)
 	stopC := start(t, "-id", "coord", "-fleet", shard0+","+shard1,
-		"-clients", clientAddr, "-stats-every", "10ms")
+		"-clients", clientAddr, "-stats-every", "10ms", "-wal-dir", walDir)
 	waitDial(t, clientAddr)
 
 	conn, err := transport.Dial(clientAddr)
@@ -344,7 +376,54 @@ func TestFleetDaemons(t *testing.T) {
 		}
 	}
 
-	for name, stop := range map[string]func() error{"coord": stopC, "s0": stopS0, "s1": stopS1} {
+	d, err := client.DurableSubscribeExpr("ledger", `y >= 1`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := client.Publish(event.Build(7).Int("y", 1).Msg()); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case ev := <-d.C():
+		if ev.Msg.ID != 7 {
+			t.Fatalf("durable delivered event %d, want 7", ev.Msg.ID)
+		}
+		// Deliberately not acked: it must come back after the restart.
+	case <-time.After(5 * time.Second):
+		t.Fatal("durable subscription did not deliver through the coordinator")
+	}
+	client.Close()
+	if err := stopC(); err != nil {
+		t.Fatalf("daemon coord: %v", err)
+	}
+
+	clientAddr2 := freePort(t)
+	stopC2 := start(t, "-id", "coord", "-fleet", shard0+","+shard1,
+		"-clients", clientAddr2, "-wal-dir", walDir)
+	waitDial(t, clientAddr2)
+	conn2, err := transport.Dial(clientAddr2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client2 := transport.NewClient("fran", conn2)
+	defer client2.Close()
+	d2, err := client2.DurableSubscribeExpr("ledger", `y >= 1`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case ev := <-d2.C():
+		if ev.Msg.ID != 7 {
+			t.Fatalf("replayed event %d, want 7", ev.Msg.ID)
+		}
+		if err := d2.Ack(ev.Seq); err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("unacked durable event did not replay across the coordinator restart")
+	}
+
+	for name, stop := range map[string]func() error{"coord": stopC2, "s0": stopS0, "s1": stopS1} {
 		if err := stop(); err != nil {
 			t.Errorf("daemon %s: %v", name, err)
 		}
@@ -355,6 +434,9 @@ func TestFleetDaemons(t *testing.T) {
 func TestFleetFlagValidation(t *testing.T) {
 	if err := run([]string{"-fleet", "127.0.0.1:1", "-listen", "127.0.0.1:0"}, nil); err == nil {
 		t.Error("coordinator mode accepted overlay flags")
+	}
+	if err := run([]string{"-fleet", "127.0.0.1:1", "-snapshot", "x.snap"}, nil); err == nil {
+		t.Error("coordinator mode accepted -snapshot")
 	}
 	if err := run([]string{"-fleet", " , "}, nil); err == nil {
 		t.Error("empty -fleet shard list accepted")

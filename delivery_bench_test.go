@@ -65,18 +65,6 @@ func BenchmarkPublishSlowSubscriber(b *testing.B) {
 			b.Fatal("blocked subscriber never overflowed — benchmark is not exercising the policy")
 		}
 	})
-	// The legacy synchronous callback path at the same scale, for context.
-	b.Run("legacy-onnotify", func(b *testing.B) {
-		ps, events := benchEmbedded(b, "auction", 1, 1, nSubs, 4096)
-		defer ps.Close()
-		ps.OnNotify(func(Notification) {})
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := ps.Publish(events[i%len(events)]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkPublishHandleFanout measures the per-handle enqueue overhead as

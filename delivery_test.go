@@ -98,9 +98,6 @@ func TestSentinelErrors(t *testing.T) {
 	if _, err := ps.SubscribeExpr(`x = 1`); !errors.Is(err, ErrClosed) {
 		t.Errorf("SubscribeExpr after Close = %v, want ErrClosed", err)
 	}
-	if _, err := ps.Subscribe("a", Eq("x", Int(1))); !errors.Is(err, ErrClosed) {
-		t.Errorf("legacy Subscribe after Close = %v, want ErrClosed", err)
-	}
 	// Nil messages outrank closure: the argument is checked first.
 	if _, err := ps.Publish(nil); !errors.Is(err, ErrNilMessage) {
 		t.Errorf("Publish(nil) after Close = %v, want ErrNilMessage", err)
@@ -353,58 +350,6 @@ func TestPerSubscriptionOrderUnderChurn(t *testing.T) {
 	}
 	close(churnStop)
 	<-churnDone
-}
-
-// TestLegacyAPISynchronousDelivery pins the deprecated wrappers to the
-// seed contract: OnNotify callbacks run on the publishing goroutine before
-// Publish returns.
-func TestLegacyAPISynchronousDelivery(t *testing.T) {
-	ps, err := NewEmbedded(EmbeddedConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ps.Close()
-	var got []Notification
-	ps.OnNotify(func(n Notification) { got = append(got, n) })
-	id, err := ps.SubscribeText("alice", `x = 1`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, err := ps.Publish(NewEvent(1).Int("x", 1).Msg()); err != nil || n != 1 {
-		t.Fatalf("publish = %d, %v", n, err)
-	}
-	if len(got) != 1 || got[0].SubID != id || got[0].Subscriber != "alice" {
-		t.Fatalf("synchronous delivery missing: %+v", got)
-	}
-	if err := ps.Unsubscribe(id); err != nil {
-		t.Fatal(err)
-	}
-	if err := ps.Unsubscribe(id); err == nil {
-		t.Error("double unsubscribe accepted")
-	}
-	if n, _ := ps.Publish(NewEvent(2).Int("x", 1).Msg()); n != 0 || len(got) != 1 {
-		t.Errorf("delivery after unsubscribe: n=%d got=%+v", n, got)
-	}
-}
-
-// TestHandleUnsubscribeOnLegacyID: the two APIs address the same
-// subscription space.
-func TestHandleUnsubscribeOnLegacyID(t *testing.T) {
-	ps, err := NewEmbedded(EmbeddedConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ps.Close()
-	h, err := ps.SubscribeExpr(`x = 1`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ps.Unsubscribe(h.ID()); err != nil {
-		t.Fatal(err)
-	}
-	if _, open := <-h.C(); open {
-		t.Error("channel open after Unsubscribe-by-ID")
-	}
 }
 
 // TestInvalidPolicyRejected: registration validates the policy.

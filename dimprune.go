@@ -44,9 +44,7 @@
 //
 // Handles deliver on a channel (h.C()) or, with WithCallback, from a
 // dedicated goroutine per subscription; h.Unsubscribe retires the
-// subscription and h.Dropped reports backpressure losses. The earlier
-// OnNotify/uint64-ID API remains as deprecated wrappers with its original
-// synchronous semantics.
+// subscription and h.Dropped reports backpressure losses.
 //
 // # Layers
 //

@@ -10,17 +10,15 @@ func TestEmbeddedSubscribePublish(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []Notification
-	ps.OnNotify(func(n Notification) { got = append(got, n) })
-
-	id, err := ps.SubscribeText("alice", `category = "scifi" and price <= 25`)
+	alice, err := ps.SubscribeExpr(`category = "scifi" and price <= 25`, WithSubscriber("alice"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id == 0 {
+	if alice.ID() == 0 {
 		t.Error("zero subscription ID")
 	}
-	if _, err := ps.SubscribeText("bob", `category = "crime"`); err != nil {
+	bob, err := ps.SubscribeExpr(`category = "crime"`, WithSubscriber("bob"))
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -28,16 +26,19 @@ func TestEmbeddedSubscribePublish(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 1 || len(got) != 1 || got[0].Subscriber != "alice" || got[0].SubID != id {
-		t.Fatalf("publish matched %d, notifications %+v", n, got)
+	if n != 1 || len(alice.C()) != 1 || len(bob.C()) != 0 {
+		t.Fatalf("publish matched %d, queued alice %d bob %d", n, len(alice.C()), len(bob.C()))
+	}
+	if got := <-alice.C(); got.Subscriber != "alice" || got.SubID != alice.ID() || got.Msg.ID != 1 {
+		t.Fatalf("notification %+v", got)
 	}
 
 	n, err = ps.Publish(NewEvent(2).Str("category", "poetry").Msg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 0 || len(got) != 1 {
-		t.Errorf("non-matching event delivered: %d, %+v", n, got)
+	if n != 0 || len(alice.C())+len(bob.C()) != 0 {
+		t.Errorf("non-matching event delivered: %d, queued alice %d bob %d", n, len(alice.C()), len(bob.C()))
 	}
 }
 
@@ -46,17 +47,14 @@ func TestEmbeddedSubscribeErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ps.SubscribeText("a", `price <=`); err == nil {
+	if _, err := ps.SubscribeExpr(`price <=`); err == nil {
 		t.Error("bad expression accepted")
 	}
-	if _, err := ps.Subscribe("a", nil); err == nil {
+	if _, err := ps.SubscribeTree(nil); err == nil {
 		t.Error("nil tree accepted")
 	}
 	if _, err := ps.Publish(nil); err == nil {
 		t.Error("nil message accepted")
-	}
-	if err := ps.Unsubscribe(999); err == nil {
-		t.Error("unknown unsubscribe accepted")
 	}
 }
 
@@ -71,7 +69,8 @@ func TestEmbeddedPruneOverDeliversOnly(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := ps.SubscribeText("alice", `category = "scifi" and price <= 95`); err != nil {
+	// The test only counts matches; nobody reads the handle.
+	if _, err := ps.SubscribeExpr(`category = "scifi" and price <= 95`, WithPolicy(DropOldest)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -235,7 +234,6 @@ func TestEmbeddedConcurrentUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps.OnNotify(func(Notification) {})
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
 	for g := 0; g < 8; g++ {
@@ -243,7 +241,8 @@ func TestEmbeddedConcurrentUse(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				id, err := ps.SubscribeText("client", `price <= 50 and category = "x"`)
+				h, err := ps.SubscribeExpr(`price <= 50 and category = "x"`,
+					WithSubscriber("client"), WithPolicy(DropOldest))
 				if err != nil {
 					errs <- err
 					return
@@ -256,7 +255,7 @@ func TestEmbeddedConcurrentUse(t *testing.T) {
 					ps.Prune(1)
 				}
 				if i%5 == 0 {
-					if err := ps.Unsubscribe(id); err != nil {
+					if err := h.Unsubscribe(); err != nil {
 						errs <- err
 						return
 					}

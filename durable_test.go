@@ -50,30 +50,13 @@ func TestCallbackDeliveredCountsInvocations(t *testing.T) {
 	}
 }
 
-// TestLegacyPolicyReportsSynchronous is the regression test for legacy
-// Handle.Policy(): subscriptions made through the deprecated OnNotify API
-// have no queue and deliver synchronously, but used to report Block —
-// misleading anything that keys on policy, e.g. brokerd's stats tick.
-func TestLegacyPolicyReportsSynchronous(t *testing.T) {
+// TestHandleReportsItsPolicy: Policy() is the queue's own policy.
+func TestHandleReportsItsPolicy(t *testing.T) {
 	ps, err := NewEmbedded(EmbeddedConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ps.Close()
-	id, err := ps.SubscribeText("legacy", `x = 1`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps.mu.RLock()
-	h := ps.subs[id]
-	ps.mu.RUnlock()
-	if h == nil {
-		t.Fatal("legacy subscription has no handle")
-	}
-	if got := h.Policy(); got != Synchronous {
-		t.Fatalf("legacy Policy() = %v, want Synchronous", got)
-	}
-	// The modern modes are unaffected.
 	ch, err := ps.SubscribeExpr(`x = 1`, WithPolicy(DropOldest))
 	if err != nil {
 		t.Fatal(err)

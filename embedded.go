@@ -75,11 +75,10 @@ type Notification struct {
 // never stalls the match path. Close retires the engine: queued
 // notifications drain and further operations return ErrClosed.
 type Embedded struct {
-	// mu guards notify, nextID, subs, and closed; the broker locks itself.
-	// It is never held across broker calls or queue operations.
+	// mu guards nextID, subs, and closed; the broker locks itself. It is
+	// never held across broker calls or queue operations.
 	mu     sync.RWMutex
 	b      *broker.Broker
-	notify func(Notification)
 	nextID uint64
 	subs   map[uint64]*Handle
 	closed bool
@@ -152,30 +151,23 @@ func (e *Embedded) SubscribeExpr(expr string, opts ...SubOption) (*Handle, error
 }
 
 // SubscribeTree registers a subscription tree and returns its Handle; see
-// SubscribeExpr.
+// SubscribeExpr. It creates the handle, installs the subscription in the
+// broker's routing table, and only then makes the handle discoverable to
+// publishers — so a publisher that finds a handle always finds it fully
+// wired (queue, meter). A subscription is live no later than the moment
+// its registration returns; an event published concurrently with
+// registration may or may not be delivered.
 func (e *Embedded) SubscribeTree(root *Node, opts ...SubOption) (*Handle, error) {
 	o := defaultSubOptions()
 	for _, opt := range opts {
 		opt(&o)
 	}
-	return e.register(root, o, false)
-}
-
-// register creates the handle, installs the subscription in the broker's
-// routing table, and only then makes the handle discoverable to
-// publishers — so a publisher that finds a handle always finds it fully
-// wired (queue, meter). A subscription is live no later than the moment
-// its registration returns; an event published concurrently with
-// registration may or may not be delivered.
-func (e *Embedded) register(root *Node, o subOptions, legacy bool) (*Handle, error) {
 	if o.durable != "" {
 		// Durable subscriptions are Persist by construction: the default
 		// Block is promoted, the drop policies contradict durability.
 		switch {
 		case e.wal == nil:
 			return nil, fmt.Errorf("dimprune: WithDurable(%q) requires EmbeddedConfig.WALDir", o.durable)
-		case legacy:
-			return nil, fmt.Errorf("dimprune: the deprecated Subscribe API cannot be durable")
 		case o.policy != Block && o.policy != Persist:
 			return nil, fmt.Errorf("dimprune: durable subscriptions are Persist, not %v", o.policy)
 		}
@@ -203,7 +195,7 @@ func (e *Embedded) register(root *Node, o subOptions, legacy bool) (*Handle, err
 	if err != nil {
 		return nil, err
 	}
-	h := newHandle(e, id, o, legacy)
+	h := newHandle(e, id, o)
 	// Registered via the virtual link so the entry is prunable.
 	if _, err := e.b.HandleSubscribe(0, s); err != nil {
 		h.retire(true, false)
@@ -253,60 +245,6 @@ func (e *Embedded) forget(id uint64) error {
 	return err
 }
 
-// OnNotify installs the delivery callback for subscriptions made through
-// the deprecated Subscribe/SubscribeText API. Those callbacks run
-// synchronously on the publishing goroutine and may be invoked
-// concurrently when publishers are concurrent.
-//
-// Deprecated: use SubscribeExpr or SubscribeTree, whose Handle owns
-// delivery per subscription (WithCallback for the callback form).
-func (e *Embedded) OnNotify(fn func(Notification)) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.notify = fn
-}
-
-// SubscribeText registers a subscription in text syntax for the OnNotify
-// callback and returns its assigned ID.
-//
-// Deprecated: use SubscribeExpr, which returns a Handle owning its own
-// delivery queue and lifecycle.
-func (e *Embedded) SubscribeText(subscriber, expr string) (uint64, error) {
-	root, err := Parse(expr)
-	if err != nil {
-		return 0, err
-	}
-	return e.Subscribe(subscriber, root)
-}
-
-// Subscribe registers a subscription tree for the OnNotify callback and
-// returns its assigned ID.
-//
-// Deprecated: use SubscribeTree, which returns a Handle owning its own
-// delivery queue and lifecycle.
-func (e *Embedded) Subscribe(subscriber string, root *Node) (uint64, error) {
-	o := defaultSubOptions()
-	o.subscriber = subscriber
-	h, err := e.register(root, o, true)
-	if err != nil {
-		return 0, err
-	}
-	return h.ID(), nil
-}
-
-// Unsubscribe retracts a subscription by ID.
-//
-// Deprecated: use Handle.Unsubscribe.
-func (e *Embedded) Unsubscribe(id uint64) error {
-	e.mu.RLock()
-	h := e.subs[id]
-	e.mu.RUnlock()
-	if h == nil {
-		return fmt.Errorf("dimprune: unknown subscription %d", id)
-	}
-	return h.Unsubscribe()
-}
-
 // Publish matches an event against all subscriptions, enqueues a
 // notification onto each matching subscription's delivery queue, and
 // returns the match count. Publishes run concurrently with each other;
@@ -333,12 +271,11 @@ func (e *Embedded) Publish(m *Message) (int, error) {
 		pb.refs = append(pb.refs, matchRef{subID: subID, subscriber: subscriber})
 	})
 	matches := len(pb.refs)
-	notify, err := e.resolve(pb)
-	if err != nil {
+	if err := e.resolve(pb); err != nil {
 		return 0, err
 	}
 	for i, h := range pb.targets {
-		h.deliver(Notification{Subscriber: pb.refs[i].subscriber, SubID: pb.refs[i].subID, Msg: m}, notify)
+		h.deliver(Notification{Subscriber: pb.refs[i].subscriber, SubID: pb.refs[i].subID, Msg: m})
 	}
 	return matches, nil
 }
@@ -367,13 +304,12 @@ func (e *Embedded) PublishBatch(ms []*Message) (int, error) {
 		pb.refs = append(pb.refs, matchRef{batchIdx: i, subID: subID, subscriber: subscriber})
 	})
 	matches := len(pb.refs)
-	notify, err := e.resolve(pb)
-	if err != nil {
+	if err := e.resolve(pb); err != nil {
 		return 0, err
 	}
 	for i, h := range pb.targets {
 		r := pb.refs[i]
-		h.deliver(Notification{Subscriber: r.subscriber, SubID: r.subID, Msg: ms[r.batchIdx]}, notify)
+		h.deliver(Notification{Subscriber: r.subscriber, SubID: r.subID, Msg: ms[r.batchIdx]})
 	}
 	return matches, nil
 }
@@ -400,13 +336,13 @@ func (e *Embedded) release(pb *publishBuffers) {
 }
 
 // resolve maps collected match refs to live handles (dropping entries
-// unsubscribed since the match) and captures the legacy callback. refs and
-// targets stay index-aligned: refs is compacted to the resolved matches.
-func (e *Embedded) resolve(pb *publishBuffers) (func(Notification), error) {
+// unsubscribed since the match). refs and targets stay index-aligned: refs
+// is compacted to the resolved matches.
+func (e *Embedded) resolve(pb *publishBuffers) error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if e.closed {
-		return nil, ErrClosed
+		return ErrClosed
 	}
 	kept := 0
 	for _, r := range pb.refs {
@@ -417,7 +353,7 @@ func (e *Embedded) resolve(pb *publishBuffers) (func(Notification), error) {
 		}
 	}
 	pb.refs = pb.refs[:kept]
-	return e.notify, nil
+	return nil
 }
 
 // Close retires the engine: subsequent Publish and Subscribe calls return

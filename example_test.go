@@ -15,15 +15,18 @@ func ExampleEmbedded() {
 		fmt.Println(err)
 		return
 	}
-	ps.OnNotify(func(n dimprune.Notification) {
-		fmt.Printf("%s <- event %d\n", n.Subscriber, n.Msg.ID)
-	})
-	if _, err := ps.SubscribeText("alice", `category = "scifi" and price <= 25`); err != nil {
+	alice, err := ps.SubscribeExpr(`category = "scifi" and price <= 25`, dimprune.WithSubscriber("alice"))
+	if err != nil {
 		fmt.Println(err)
 		return
 	}
 	ps.Publish(dimprune.NewEvent(1).Str("category", "scifi").Num("price", 19).Msg())
 	ps.Publish(dimprune.NewEvent(2).Str("category", "scifi").Num("price", 99).Msg())
+	// Close drains the queues and closes the handles' channels.
+	ps.Close()
+	for n := range alice.C() {
+		fmt.Printf("%s <- event %d\n", n.Subscriber, n.Msg.ID)
+	}
 
 	// Output:
 	// alice <- event 1
@@ -94,7 +97,7 @@ func ExampleNewLineOverlay() {
 // ExampleEmbedded_prune shows pruning trading exactness for table size.
 func ExampleEmbedded_prune() {
 	ps, _ := dimprune.NewEmbedded(dimprune.EmbeddedConfig{Dimension: dimprune.Memory})
-	ps.SubscribeText("bob", `a = 1 and b = 2 and c = 3`)
+	ps.SubscribeExpr(`a = 1 and b = 2 and c = 3`, dimprune.WithSubscriber("bob"))
 	before := ps.Stats().Associations
 	pruned := ps.Prune(2)
 	after := ps.Stats().Associations

@@ -50,7 +50,10 @@ func run() error {
 			if err != nil {
 				return err
 			}
-			if _, err := ps.Subscribe(s.Subscriber, s.Root); err != nil {
+			// Nobody reads the handle: the example only counts matches, so the
+			// queue sheds instead of blocking the publisher.
+			if _, err := ps.SubscribeTree(s.Root, dimprune.WithSubscriber(s.Subscriber),
+				dimprune.WithBuffer(1), dimprune.WithPolicy(dimprune.DropNewest)); err != nil {
 				return err
 			}
 		}

@@ -23,23 +23,39 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	ps.OnNotify(func(n dimprune.Notification) {
-		fmt.Printf("  -> %s (subscription %d) notified about event %d\n",
-			n.Subscriber, n.SubID, n.Msg.ID)
-	})
+	defer ps.Close()
 
 	// Subscriptions are arbitrary Boolean expressions; text syntax and
-	// builders are interchangeable.
-	if _, err := ps.SubscribeText("alice",
-		`category = "scifi" and (author = "Le Guin" or author = "Herbert") and price <= 25`); err != nil {
+	// builders are interchangeable. Each returns a handle that owns the
+	// subscription's delivery queue.
+	alice, err := ps.SubscribeExpr(
+		`category = "scifi" and (author = "Le Guin" or author = "Herbert") and price <= 25`,
+		dimprune.WithSubscriber("alice"))
+	if err != nil {
 		return err
 	}
 	bobTree := dimprune.And(
 		dimprune.Eq("category", dimprune.Str("crime")),
 		dimprune.Ge("rating", dimprune.Int(4)),
 	)
-	if _, err := ps.Subscribe("bob", bobTree); err != nil {
+	bob, err := ps.SubscribeTree(bobTree, dimprune.WithSubscriber("bob"))
+	if err != nil {
 		return err
+	}
+	// Publish enqueues matches before it returns, so reading each handle's
+	// channel until it is empty shows exactly what the event triggered.
+	publish := func(m *dimprune.Message) error {
+		if _, err := ps.Publish(m); err != nil {
+			return err
+		}
+		for _, h := range []*dimprune.Handle{alice, bob} {
+			for len(h.C()) > 0 {
+				n := <-h.C()
+				fmt.Printf("  -> %s (subscription %d) notified about event %d\n",
+					n.Subscriber, n.SubID, n.Msg.ID)
+			}
+		}
+		return nil
 	}
 
 	fmt.Println("publishing three listings:")
@@ -49,7 +65,7 @@ func run() error {
 		dimprune.NewEvent(3).Str("category", "crime").Int("rating", 5).Num("price", 12).Msg(),
 	}
 	for _, m := range events {
-		if _, err := ps.Publish(m); err != nil {
+		if err := publish(m); err != nil {
 			return err
 		}
 	}
@@ -66,7 +82,7 @@ func run() error {
 
 	fmt.Println("republishing the same listings (matching may widen, never shrink):")
 	for _, m := range events {
-		if _, err := ps.Publish(m); err != nil {
+		if err := publish(m); err != nil {
 			return err
 		}
 	}

@@ -31,9 +31,8 @@ type Handle struct {
 	e          *Embedded
 	meter      *broker.DeliveryMeter
 
-	// q is the delivery queue; nil only for legacy subscriptions made
-	// through the deprecated uint64-ID API, which deliver synchronously
-	// via the OnNotify callback.
+	// q is the delivery queue; nil only for durable callback handles,
+	// whose replay pump invokes the callback directly.
 	q  *delivery.Queue[Notification]
 	cb func(Notification) // callback mode: invoked by the drain goroutine
 
@@ -61,15 +60,11 @@ type Handle struct {
 	retireErr  error
 }
 
-// newHandle wires a handle for the given options; legacy is true for the
-// deprecated uint64-ID API (synchronous OnNotify delivery, no queue).
-func newHandle(e *Embedded, id uint64, o subOptions, legacy bool) *Handle {
+// newHandle wires a handle for the given options.
+func newHandle(e *Embedded, id uint64, o subOptions) *Handle {
 	h := &Handle{id: id, subscriber: o.subscriber, e: e, cb: o.callback}
-	if legacy {
-		return h
-	}
 	if o.durable != "" {
-		// Durable: pumpLoop (started by register once the cursor is
+		// Durable: pumpLoop (started by SubscribeTree once the cursor is
 		// attached) feeds the consumer directly in callback mode, or
 		// through an internal Block queue in channel mode — the WAL is
 		// the buffer, so drop policies don't apply.
@@ -104,7 +99,7 @@ func (h *Handle) drainLoop() {
 }
 
 // startPump attaches the durable cursor and launches the replay pump.
-// Called by register after the broker-side registration succeeded; a
+// Called by SubscribeTree after the broker-side registration succeeded; a
 // handle unwound before this point has no pump to wait for.
 func (h *Handle) startPump(root *Node, c *wal.Cursor) {
 	h.cursor = c
@@ -160,8 +155,7 @@ func (h *Handle) pumpLoop(root *Node) {
 	}
 }
 
-// ID returns the subscription's identifier (also usable with the
-// deprecated Embedded.Unsubscribe).
+// ID returns the subscription's identifier.
 func (h *Handle) ID() uint64 { return h.id }
 
 // Subscriber returns the subscriber name given via WithSubscriber.
@@ -171,24 +165,19 @@ func (h *Handle) Subscriber() string { return h.subscriber }
 // per-subscription publish order, holds up to the configured buffer, and
 // is closed when the handle retires (buffered notifications stay
 // receivable after Unsubscribe/Close). C returns nil for callback-mode
-// and legacy subscriptions.
+// subscriptions.
 func (h *Handle) C() <-chan Notification {
-	if h.cb != nil || h.q == nil {
+	if h.cb != nil {
 		return nil
 	}
 	return h.q.C()
 }
 
 // Policy returns the handle's delivery policy: the queue's backpressure
-// policy for buffered subscriptions, Persist for durable ones, and
-// Synchronous for legacy OnNotify subscriptions (which have no queue and
-// previously misreported Block here).
+// policy for buffered subscriptions, Persist for durable ones.
 func (h *Handle) Policy() Policy {
 	if h.durable != "" {
 		return Persist
-	}
-	if h.q == nil {
-		return Synchronous
 	}
 	return h.q.Policy()
 }
@@ -216,9 +205,6 @@ func (h *Handle) Ack(seq uint64) error {
 func (h *Handle) Delivered() uint64 {
 	if h.cb != nil {
 		return h.consumed.Load()
-	}
-	if h.q == nil {
-		return h.meter.Delivered()
 	}
 	return h.q.Enqueued()
 }
@@ -291,19 +277,9 @@ func (h *Handle) retire(discard, unregister bool) error {
 }
 
 // deliver hands one notification to the handle's consumer. It runs after
-// the matching lock is released; notify is the engine's legacy OnNotify
-// callback captured by the publisher.
-func (h *Handle) deliver(n Notification, notify func(Notification)) {
-	if h.q == nil {
-		// Legacy subscription: synchronous callback on the publishing
-		// goroutine, exactly the pre-handle contract.
-		if notify != nil {
-			notify(n)
-			h.meter.NoteDelivered(1)
-		}
-		return
-	}
-	if h.cursor != nil {
+// the matching lock is released.
+func (h *Handle) deliver(n Notification) {
+	if h.durable != "" {
 		// Durable: the WAL replay pump is the only delivery path, so the
 		// live match is dropped here — the same event reaches the pump
 		// through the log, with its sequence number attached.

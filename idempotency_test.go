@@ -53,13 +53,9 @@ func TestHandleUnsubscribeIdempotent(t *testing.T) {
 	if err := h.Unsubscribe(); err != nil {
 		t.Fatalf("second Unsubscribe: %v", err)
 	}
-	// The subscription is really gone: publishes no longer match and the
-	// deprecated by-ID retraction reports it unknown.
+	// The subscription is really gone: publishes no longer match.
 	if n, err := e.Publish(NewEvent(1).Int("x", 1).Msg()); err != nil || n != 0 {
 		t.Errorf("Publish after Unsubscribe = %d matches, %v", n, err)
-	}
-	if err := e.Unsubscribe(h.ID()); err == nil {
-		t.Error("deprecated Unsubscribe found a retired subscription")
 	}
 
 	// Callback mode retires identically.

@@ -67,6 +67,19 @@ type Delivery struct {
 	Msg        *event.Message
 }
 
+// Router is the seam a session server drives: the four calls a client
+// session turns into. Outgoing frames go to neighbor links, deliveries to
+// local subscribers. *Broker satisfies it as is; a fleet coordinator
+// satisfies it with no neighbor links, so its Outgoing is always empty.
+// Everything a subscriber can observe is decided behind these four calls
+// and in the one server that makes them.
+type Router interface {
+	SubscribeLocal(s *subscription.Subscription) ([]Outgoing, error)
+	UnsubscribeLocal(id uint64) ([]Outgoing, error)
+	PublishLocal(m *event.Message) ([]Outgoing, []Delivery)
+	PublishLocalBatch(ms []*event.Message) ([]Outgoing, []Delivery)
+}
+
 // Outgoing is one frame to transmit on a neighbor link.
 //
 // Enc, when non-nil, is the frame's encode-once buffer: the broker encodes

@@ -59,17 +59,13 @@ func TestCoveringThenPruning(t *testing.T) {
 	}
 
 	// Covering alone: keep only uncovered entries.
-	ix := NewIndex()
+	ix := NewForest()
 	for _, s := range subs {
-		ix.Insert(s)
-	}
-	forwardable := map[uint64]bool{}
-	for _, id := range ix.Forwardable() {
-		forwardable[id] = true
+		ix.Insert(s, 0)
 	}
 	var uncovered []*subscription.Subscription
 	for _, s := range subs {
-		if forwardable[s.ID] {
+		if _, covered := ix.CoveredBy(s.ID); !covered {
 			uncovered = append(uncovered, s)
 		}
 	}

@@ -7,7 +7,8 @@
 // restricted to conjunctive, non-negated subscriptions; Boolean trees with
 // disjunctions fall back to "uncoverable". This limitation is exactly the
 // motivation for pruning, and the covering-vs-pruning bench quantifies the
-// difference on mixed workloads.
+// difference on mixed workloads. Forest is the index over a live
+// population; this file holds the pairwise relation it is built on.
 package covering
 
 import (
@@ -119,79 +120,4 @@ func rangeImplies(s, g subscription.Predicate, lower bool) bool {
 		return false
 	}
 	return cmp > 0 || (cmp == 0 && (sStrict || !gStrict))
-}
-
-// Entry is one subscription tracked by the Index.
-type Entry struct {
-	ID    uint64
-	preds []subscription.Predicate
-	// conjunctive is false for shapes covering cannot reason about; they
-	// are always forwarded.
-	conjunctive bool
-}
-
-// Index maintains the covering relation over a subscription population, the
-// way a broker would use it to shrink forwarded sets: Forwardable returns
-// only the subscriptions not covered by another live subscription.
-//
-// The implementation is the O(n²) pairwise check the sufficient condition
-// admits; population sizes in the benches keep this tractable, and the
-// point of the comparison is table size, not indexing speed.
-type Index struct {
-	entries map[uint64]*Entry
-}
-
-// NewIndex returns an empty covering index.
-func NewIndex() *Index {
-	return &Index{entries: make(map[uint64]*Entry)}
-}
-
-// Insert adds a subscription.
-func (ix *Index) Insert(s *subscription.Subscription) {
-	preds, ok := Conjunctive(s.Root)
-	ix.entries[s.ID] = &Entry{ID: s.ID, preds: preds, conjunctive: ok}
-}
-
-// Remove deletes a subscription.
-func (ix *Index) Remove(id uint64) {
-	delete(ix.entries, id)
-}
-
-// Len returns the number of tracked subscriptions.
-func (ix *Index) Len() int { return len(ix.entries) }
-
-// CoveredBy returns the ID of a live subscription strictly covering id, and
-// whether one exists. Mutually covering (equivalent) subscriptions break
-// the tie by ID so exactly one of them survives Forwardable.
-func (ix *Index) CoveredBy(id uint64) (uint64, bool) {
-	e := ix.entries[id]
-	if e == nil || !e.conjunctive {
-		return 0, false
-	}
-	for _, o := range ix.entries {
-		if o.ID == id || !o.conjunctive {
-			continue
-		}
-		if !Covers(o.preds, e.preds) {
-			continue
-		}
-		if Covers(e.preds, o.preds) && o.ID > id {
-			continue // equivalent: the lower ID represents the pair
-		}
-		return o.ID, true
-	}
-	return 0, false
-}
-
-// Forwardable returns the IDs a broker must forward: subscriptions not
-// covered by any other live subscription (non-conjunctive ones always
-// forward). Order is unspecified.
-func (ix *Index) Forwardable() []uint64 {
-	var out []uint64
-	for id := range ix.entries {
-		if _, covered := ix.CoveredBy(id); !covered {
-			out = append(out, id)
-		}
-	}
-	return out
 }

@@ -133,14 +133,28 @@ func TestCoversSemanticsProperty(t *testing.T) {
 	}
 }
 
-func TestIndexForwardable(t *testing.T) {
-	ix := NewIndex()
+// forwardable lists, sorted, the entries a broker must advertise to a
+// neighbor that has none of them yet: everything the forest has no cover
+// for (roots and opaque entries).
+func forwardable(f *Forest, ids ...uint64) []uint64 {
+	var out []uint64
+	for _, id := range ids {
+		if _, covered := f.CoveredBy(id); !covered {
+			out = append(out, id)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+func TestForestForwardable(t *testing.T) {
+	ix := NewForest()
 	mustInsert := func(id uint64, expr string) {
 		s, err := subscription.New(id, "c", subscription.MustParse(expr))
 		if err != nil {
 			t.Fatal(err)
 		}
-		ix.Insert(s)
+		ix.Insert(s, 0)
 	}
 	mustInsert(1, `price <= 30`)                    // covers 2 and 3
 	mustInsert(2, `price <= 20`)                    //
@@ -148,8 +162,7 @@ func TestIndexForwardable(t *testing.T) {
 	mustInsert(4, `rating >= 4`)                    // unrelated
 	mustInsert(5, `a = 1 or b = 2`)                 // non-conjunctive: always forwarded
 
-	got := ix.Forwardable()
-	sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
+	got := forwardable(ix, 1, 2, 3, 4, 5)
 	want := []uint64{1, 4, 5}
 	if len(got) != len(want) {
 		t.Fatalf("Forwardable = %v, want %v", got, want)
@@ -162,37 +175,42 @@ func TestIndexForwardable(t *testing.T) {
 
 	// Removing the cover resurrects the covered subscriptions.
 	ix.Remove(1)
-	got = ix.Forwardable()
-	sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
+	got = forwardable(ix, 2, 3, 4, 5)
 	want = []uint64{2, 4, 5} // 3 is covered by 2
+	if len(got) != len(want) {
+		t.Fatalf("after removal Forwardable = %v, want %v", got, want)
+	}
 	for i := range want {
-		if i >= len(got) || got[i] != want[i] {
+		if got[i] != want[i] {
 			t.Fatalf("after removal Forwardable = %v, want %v", got, want)
 		}
 	}
 }
 
-func TestIndexEquivalentPair(t *testing.T) {
-	ix := NewIndex()
-	for _, id := range []uint64{7, 9} {
-		s, err := subscription.New(id, "c", subscription.MustParse(`price <= 20`))
-		if err != nil {
-			t.Fatal(err)
+func TestForestEquivalentPair(t *testing.T) {
+	// Whichever order the pair arrives in, the lower ID represents it.
+	for _, order := range [][]uint64{{7, 9}, {9, 7}} {
+		ix := NewForest()
+		for _, id := range order {
+			s, err := subscription.New(id, "c", subscription.MustParse(`price <= 20`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ix.Insert(s, 0)
 		}
-		ix.Insert(s)
-	}
-	got := ix.Forwardable()
-	if len(got) != 1 || got[0] != 7 {
-		t.Errorf("equivalent pair Forwardable = %v, want just 7", got)
+		got := forwardable(ix, 7, 9)
+		if len(got) != 1 || got[0] != 7 {
+			t.Errorf("insert order %v: equivalent pair Forwardable = %v, want just 7", order, got)
+		}
 	}
 }
 
 func TestCoveredBy(t *testing.T) {
-	ix := NewIndex()
+	ix := NewForest()
 	s1, _ := subscription.New(1, "c", subscription.MustParse(`price <= 30`))
 	s2, _ := subscription.New(2, "c", subscription.MustParse(`price <= 20`))
-	ix.Insert(s1)
-	ix.Insert(s2)
+	ix.Insert(s1, 0)
+	ix.Insert(s2, 0)
 	if by, ok := ix.CoveredBy(2); !ok || by != 1 {
 		t.Errorf("CoveredBy(2) = %d, %v", by, ok)
 	}

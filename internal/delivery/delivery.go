@@ -37,14 +37,6 @@ const (
 	Persist
 )
 
-// Synchronous is the reported policy of legacy subscriptions that deliver
-// synchronously on the publishing goroutine (the deprecated OnNotify API).
-// They have no queue, so none of the buffered policies applies; reporting
-// Block for them — as earlier versions did — misled consumers of the
-// policy, e.g. brokerd's delivery-hotspot stats. Like Persist it is not a
-// queue policy and Valid is false.
-const Synchronous Policy = -1
-
 // String names the policy for logs and stats.
 func (p Policy) String() string {
 	switch p {
@@ -56,17 +48,14 @@ func (p Policy) String() string {
 		return "drop-newest"
 	case Persist:
 		return "persist"
-	case Synchronous:
-		return "synchronous"
 	default:
 		return "invalid"
 	}
 }
 
 // Valid reports whether p is a queue-implementable policy, i.e. one a
-// Queue can be constructed with. Persist and Synchronous are real policies
-// for reporting purposes but are implemented outside the queue, so they
-// are not Valid here.
+// Queue can be constructed with. Persist is a real policy for reporting
+// purposes but is implemented outside the queue, so it is not Valid here.
 func (p Policy) Valid() bool { return p >= Block && p <= DropNewest }
 
 // Queue is a bounded FIFO with a backpressure policy, safe for any number

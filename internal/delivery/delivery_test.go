@@ -110,7 +110,7 @@ func TestMinimumBuffer(t *testing.T) {
 }
 
 func TestPolicyStrings(t *testing.T) {
-	cases := map[Policy]string{Block: "block", DropOldest: "drop-oldest", DropNewest: "drop-newest", Persist: "persist", Synchronous: "synchronous", Policy(9): "invalid"}
+	cases := map[Policy]string{Block: "block", DropOldest: "drop-oldest", DropNewest: "drop-newest", Persist: "persist", Policy(9): "invalid"}
 	for p, want := range cases {
 		if p.String() != want {
 			t.Errorf("%d.String() = %q, want %q", int(p), p.String(), want)
@@ -119,9 +119,9 @@ func TestPolicyStrings(t *testing.T) {
 	if Policy(9).Valid() || !DropOldest.Valid() {
 		t.Error("Valid misclassifies")
 	}
-	// Persist and Synchronous are reportable but not queue-implementable.
-	if Persist.Valid() || Synchronous.Valid() {
-		t.Error("non-queue policies must not be Valid")
+	// Persist is reportable but not queue-implementable.
+	if Persist.Valid() {
+		t.Error("Persist must not be Valid")
 	}
 }
 

@@ -306,12 +306,19 @@ func (c *Coordinator) dropAdvertsLocked(name string) {
 // duplicate ID replaces the previous subscription (the overlay's
 // replace-on-duplicate convergence).
 func (c *Coordinator) Subscribe(s *subscription.Subscription) error {
+	return c.subscribe(s, true)
+}
+
+func (c *Coordinator) subscribe(s *subscription.Subscription, replace bool) error {
 	if s == nil {
 		return errors.New("fleet: nil subscription")
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, dup := c.subs[s.ID]; dup {
+		if !replace {
+			return fmt.Errorf("fleet: duplicate subscription %d", s.ID)
+		}
 		c.unplaceLocked(s.ID, c.placed[s.ID])
 		delete(c.placed, s.ID)
 	}
@@ -323,17 +330,24 @@ func (c *Coordinator) Subscribe(s *subscription.Subscription) error {
 	return nil
 }
 
-// Unsubscribe retracts a subscription from the fleet.
+// Unsubscribe retracts a subscription from the fleet; an unknown ID is a
+// no-op.
 func (c *Coordinator) Unsubscribe(id uint64) error {
+	c.unsubscribe(id)
+	return nil
+}
+
+// unsubscribe reports whether id was a live subscription.
+func (c *Coordinator) unsubscribe(id uint64) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.subs[id]; !ok {
-		return nil
+		return false
 	}
 	c.unplaceLocked(id, c.placed[id])
 	delete(c.placed, id)
 	delete(c.subs, id)
-	return nil
+	return true
 }
 
 // Publish scatters one event to the shards whose advertised covers can
@@ -358,6 +372,47 @@ func (c *Coordinator) Publish(m *event.Message) ([]broker.Delivery, error) {
 		}
 		c.mu.Unlock()
 	}
+}
+
+// The four methods below make the coordinator a broker.Router, so the
+// transport server runs client sessions over a fleet exactly as over one
+// broker — down to the errors: a session sees what Broker.SubscribeLocal
+// and UnsubscribeLocal would tell it. A fleet has no neighbor links: the
+// outgoing frames are always nil.
+
+var _ broker.Router = (*Coordinator)(nil)
+
+// SubscribeLocal is Subscribe, except that a live duplicate ID is an error
+// as on a broker (one session must not replace another's subscription).
+func (c *Coordinator) SubscribeLocal(s *subscription.Subscription) ([]broker.Outgoing, error) {
+	return nil, c.subscribe(s, false)
+}
+
+// UnsubscribeLocal is Unsubscribe, except that an unknown ID is an error
+// as on a broker.
+func (c *Coordinator) UnsubscribeLocal(id uint64) ([]broker.Outgoing, error) {
+	if !c.unsubscribe(id) {
+		return nil, fmt.Errorf("fleet: unknown subscription %d", id)
+	}
+	return nil, nil
+}
+
+// PublishLocal is Publish behind the Router seam. Publish only fails on a
+// nil message, which the session server never passes.
+func (c *Coordinator) PublishLocal(m *event.Message) ([]broker.Outgoing, []broker.Delivery) {
+	dels, _ := c.Publish(m)
+	return nil, dels
+}
+
+// PublishLocalBatch publishes a burst in order, concatenating the
+// deliveries event by event.
+func (c *Coordinator) PublishLocalBatch(ms []*event.Message) ([]broker.Outgoing, []broker.Delivery) {
+	var dels []broker.Delivery
+	for _, m := range ms {
+		d, _ := c.Publish(m)
+		dels = append(dels, d...)
+	}
+	return nil, dels
 }
 
 // scatter runs one scatter/gather pass under the read lock. It returns

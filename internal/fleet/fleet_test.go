@@ -4,12 +4,10 @@ import (
 	"fmt"
 	"net"
 	"testing"
-	"time"
 
 	"dimprune/internal/broker"
 	"dimprune/internal/event"
 	"dimprune/internal/subscription"
-	"dimprune/internal/transport"
 )
 
 func mustSub(t *testing.T, id uint64, subscriber, expr string) *subscription.Subscription {
@@ -272,48 +270,5 @@ func TestRemoteShardRoundTrip(t *testing.T) {
 	}
 	if len(dels) != 30 {
 		t.Fatalf("after remote death: %d deliveries, want 30", len(dels))
-	}
-}
-
-// TestClientServerSessions drives the coordinator through the client wire
-// protocol end to end.
-func TestClientServerSessions(t *testing.T) {
-	c := newLocalFleet(t, 2, true)
-	defer c.Close()
-	cs := NewClientServer(c)
-	defer cs.Shutdown()
-	addr, err := cs.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn, err := transport.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := transport.NewClient("dora", conn)
-	defer cl.Close()
-	h, err := cl.SubscribeExpr(`x = 1`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The session goroutine applies the subscribe asynchronously; keep
-	// publishing until the delivery arrives.
-	deadline := time.After(5 * time.Second)
-	tick := time.NewTicker(10 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		select {
-		case m := <-h.C():
-			if m == nil {
-				t.Fatal("handle closed before delivering")
-			}
-			return
-		case <-tick.C:
-			if err := cl.Publish(event.Build(1).Int("x", 1).Msg()); err != nil {
-				t.Fatal(err)
-			}
-		case <-deadline:
-			t.Fatal("client session never received its delivery")
-		}
 	}
 }

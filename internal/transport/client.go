@@ -20,23 +20,17 @@ var ErrNilMessage = errors.New("transport: nil message")
 // Client is a subscriber/publisher session against a broker server reached
 // over a Conn (typically TCP via Dial).
 //
-// Subscriptions made with SubscribeExpr/SubscribeNode return a *Handle
-// mirroring the embedded engine's handle API: each handle owns a delivery
-// queue with a backpressure policy and demultiplexes the session's
-// incoming events by re-evaluating its subscription tree (the broker
-// post-filters local subscriptions exactly, so every event on the wire
-// matches at least one of the session's subscriptions). The deprecated
-// Subscribe/Unsubscribe-by-ID API delivers on the shared channel returned
-// by Notifications instead.
+// SubscribeExpr/SubscribeNode return a *Handle mirroring the embedded
+// engine's handle API: each handle owns a delivery queue with a
+// backpressure policy. The server sends a session one frame per event, and
+// the session demultiplexes it by re-evaluating every handle's tree (the
+// broker post-filters local subscriptions exactly, so every event on the
+// wire matched at least one of the session's subscriptions when it left).
 type Client struct {
 	subscriber string
 	conn       Conn
 
-	notifications chan *event.Message
-	closeOnce     sync.Once
-	done          chan struct{}
-
-	// mu guards handles and the usage flags; idSeq is the per-session
+	// mu guards the handle registries; idSeq is the per-session
 	// subscription counter behind idBase, a random 40-bit prefix drawn at
 	// session start. The broker rejects duplicate subscription IDs by
 	// dropping the offending session, so auto-assigned IDs must not
@@ -44,14 +38,12 @@ type Client struct {
 	// at birthday-bound-over-2^40 (~50% only past a million concurrent
 	// sessions) and, unlike deriving the prefix from the subscriber name,
 	// cannot collide with a previous session of the same subscriber.
-	mu          sync.RWMutex
-	handles     map[uint64]*Handle
-	durables    map[string]*DurableHandle
-	durableIDs  map[uint64]struct{} // IDs held by attached durables
-	usedLegacy  bool                // deprecated Subscribe was called
-	usedHandles bool                // SubscribeNode/SubscribeExpr was called
-	idBase      uint64
-	idSeq       atomic.Uint64
+	mu         sync.RWMutex
+	handles    map[uint64]*Handle
+	durables   map[string]*DurableHandle
+	durableIDs map[uint64]struct{} // IDs held by attached durables
+	idBase     uint64
+	idSeq      atomic.Uint64
 }
 
 // idSeqBits is the per-session subscription counter width below idBase.
@@ -91,14 +83,12 @@ func NewClient(subscriber string, conn Conn) *Client {
 	var seed [8]byte
 	_, _ = rand.Read(seed[:])
 	c := &Client{
-		subscriber:    subscriber,
-		conn:          conn,
-		notifications: make(chan *event.Message, 64),
-		done:          make(chan struct{}),
-		handles:       make(map[uint64]*Handle),
-		durables:      make(map[string]*DurableHandle),
-		durableIDs:    make(map[uint64]struct{}),
-		idBase:        binary.BigEndian.Uint64(seed[:]) &^ (1<<idSeqBits - 1),
+		subscriber: subscriber,
+		conn:       conn,
+		handles:    make(map[uint64]*Handle),
+		durables:   make(map[string]*DurableHandle),
+		durableIDs: make(map[uint64]struct{}),
+		idBase:     binary.BigEndian.Uint64(seed[:]) &^ (1<<idSeqBits - 1),
 	}
 	// A hello failure surfaces on the first real operation; the read loop
 	// observes the broken connection either way.
@@ -108,10 +98,7 @@ func NewClient(subscriber string, conn Conn) *Client {
 }
 
 func (c *Client) readLoop() {
-	defer func() {
-		close(c.notifications)
-		c.retireHandles(false)
-	}()
+	defer c.retireHandles()
 	var targets []*Handle
 	for {
 		f, err := c.conn.Recv()
@@ -125,23 +112,16 @@ func (c *Client) readLoop() {
 			d := c.durables[f.Name]
 			c.mu.RUnlock()
 			if d != nil {
-				d.deliver(DurableEvent{Seq: f.Seq, Msg: f.Msg})
+				d.q.Enqueue(DurableEvent{Seq: f.Seq, Msg: f.Msg})
 			}
 			continue
 		}
 		if f.Type != wire.FramePublish {
 			continue // tolerate unknown server frames
 		}
-		// Demultiplex: events matching a handle go to that handle's
-		// queue. The deprecated shared channel keeps its historical
-		// every-frame feed for any session that is not handle-only —
-		// sessions that used the legacy Subscribe (even mixed with
-		// handles: their legacy subscriptions may overlap the handles'),
-		// and sessions that never subscribed either way (e.g. server-side
-		// state restored from a snapshot). A handle-only session skips
-		// the channel entirely: an unmatched frame there is a stale
-		// in-flight delivery right after an unsubscribe, and queueing it
-		// behind a channel nobody reads would wedge the session's reader.
+		// Demultiplex: the event goes to the queue of every handle it
+		// matches. A frame matching none is a stale in-flight delivery
+		// right after an unsubscribe and is dropped.
 		targets = targets[:0]
 		c.mu.RLock()
 		for _, h := range c.handles {
@@ -149,29 +129,12 @@ func (c *Client) readLoop() {
 				targets = append(targets, h)
 			}
 		}
-		handleOnly := c.usedHandles && !c.usedLegacy
 		c.mu.RUnlock()
 		for _, h := range targets {
-			h.deliver(f.Msg)
-		}
-		if handleOnly {
-			continue
-		}
-		select {
-		case c.notifications <- f.Msg:
-		case <-c.done:
-			return
+			h.q.Enqueue(f.Msg)
 		}
 	}
 }
-
-// Notifications returns the shared stream of matching events for
-// subscriptions made with the deprecated Subscribe. The channel closes
-// when the session ends.
-//
-// Deprecated: use SubscribeExpr or SubscribeNode, whose Handle owns a
-// per-subscription delivery queue.
-func (c *Client) Notifications() <-chan *event.Message { return c.notifications }
 
 // Handle is one registered subscription of a networked client session and
 // the owner of its delivery, mirroring the embedded engine's handle API:
@@ -181,22 +144,91 @@ func (c *Client) Notifications() <-chan *event.Message { return c.notifications 
 //
 // One caveat has no embedded counterpart: all of a session's handles share
 // one connection reader. Under the Block policy a full queue therefore
-// stalls the whole session's delivery (exactly like a slow reader of the
-// legacy shared channel); sessions that must never stall use DropOldest or
-// DropNewest and watch Dropped.
+// stalls the whole session's delivery; sessions that must never stall use
+// DropOldest or DropNewest and watch Dropped.
 type Handle struct {
 	id   uint64
 	c    *Client
 	root *subscription.Node
+	consumer[*event.Message]
+}
 
-	q  *delivery.Queue[*event.Message]
-	cb func(*event.Message)
+// consumer is the delivery half every handle kind shares: a bounded queue
+// the session reader fills, emptied over C or by a dedicated goroutine
+// invoking a callback, and retired exactly once.
+type consumer[T any] struct {
+	q  *delivery.Queue[T]
+	cb func(T)
 
-	discard   atomic.Bool
-	drainDone chan struct{} // non-nil in callback mode
-
+	discard    atomic.Bool
+	drainDone  chan struct{} // non-nil in callback mode
 	retireOnce sync.Once
-	retireErr  error
+}
+
+// init wires the queue. It runs before the handle is discoverable: a
+// session that ends right then retires the handle from the read loop,
+// which waits on drainDone.
+func (s *consumer[T]) init(buffer int, policy delivery.Policy, cb func(T)) {
+	s.q, s.cb = delivery.New[T](buffer, policy), cb
+	if cb != nil {
+		s.drainDone = make(chan struct{})
+	}
+}
+
+// start launches the dedicated delivery goroutine of a callback handle.
+func (s *consumer[T]) start() {
+	if s.cb == nil {
+		return
+	}
+	go func() {
+		defer close(s.drainDone)
+		for v := range s.q.C() {
+			if !s.discard.Load() {
+				s.cb(v)
+			}
+		}
+	}()
+}
+
+// C returns the delivery channel: arrival order, up to the configured
+// buffer, closed when the handle retires or the session ends (buffered
+// items stay receivable). C returns nil in callback mode.
+func (s *consumer[T]) C() <-chan T {
+	if s.cb != nil {
+		return nil
+	}
+	return s.q.C()
+}
+
+// Delivered returns how many items the subscription has accepted for
+// delivery (a durable's redeliveries included).
+func (s *consumer[T]) Delivered() uint64 { return s.q.Enqueued() }
+
+// unsubscribe retires the handle after retract, whose error only the call
+// that performs the retirement sees; later calls are no-ops returning nil.
+// The queued backlog of a callback handle is discarded, and a pending
+// invocation has completed when unsubscribe returns.
+func (s *consumer[T]) unsubscribe(retract func() error) (err error) {
+	s.retireOnce.Do(func() {
+		err = retract()
+		s.shutdown(true)
+	})
+	return err
+}
+
+// retire tears the handle down without touching the client registry or
+// the wire (session teardown paths).
+func (s *consumer[T]) retire(discard bool) {
+	s.retireOnce.Do(func() { s.shutdown(discard) })
+}
+
+// shutdown closes the queue and waits out the delivery goroutine.
+func (s *consumer[T]) shutdown(discard bool) {
+	s.discard.Store(discard)
+	s.q.Close()
+	if s.drainDone != nil {
+		<-s.drainDone
+	}
 }
 
 // subOptions collects one subscription's settings.
@@ -265,15 +297,11 @@ func (c *Client) SubscribeNode(root *subscription.Node, opts ...SubOption) (*Han
 		c.mu.Unlock()
 		return nil, err
 	}
-	h := &Handle{id: id, c: c, root: s.Root, cb: o.callback}
-	h.q = delivery.New[*event.Message](o.buffer, o.policy)
-	c.usedHandles = true
+	h := &Handle{id: id, c: c, root: s.Root}
+	h.init(o.buffer, o.policy, o.callback)
 	c.handles[id] = h
 	c.mu.Unlock()
-	if h.cb != nil {
-		h.drainDone = make(chan struct{})
-		go h.drainLoop()
-	}
+	h.start()
 	if err := c.conn.Send(wire.SubscribeFrame(s)); err != nil {
 		c.mu.Lock()
 		delete(c.handles, id)
@@ -284,40 +312,11 @@ func (c *Client) SubscribeNode(root *subscription.Node, opts ...SubOption) (*Han
 	return h, nil
 }
 
-// drainLoop is the dedicated delivery goroutine of a callback handle.
-func (h *Handle) drainLoop() {
-	defer close(h.drainDone)
-	for m := range h.q.C() {
-		if h.discard.Load() {
-			continue
-		}
-		h.cb(m)
-	}
-}
-
-// deliver enqueues one event under the handle's policy; drops are counted
-// by the queue.
-func (h *Handle) deliver(m *event.Message) { h.q.Enqueue(m) }
-
 // ID returns the auto-assigned subscription ID.
 func (h *Handle) ID() uint64 { return h.id }
 
-// C returns the delivery channel: per-subscription arrival order, up to
-// the configured buffer, closed when the handle retires or the session
-// ends (buffered events stay receivable). C returns nil in callback mode.
-func (h *Handle) C() <-chan *event.Message {
-	if h.cb != nil {
-		return nil
-	}
-	return h.q.C()
-}
-
 // Policy returns the handle's backpressure policy.
 func (h *Handle) Policy() delivery.Policy { return h.q.Policy() }
-
-// Delivered returns how many events the subscription has accepted for
-// delivery.
-func (h *Handle) Delivered() uint64 { return h.q.Enqueued() }
 
 // Dropped returns how many events the backpressure policy has shed
 // (always 0 under Block).
@@ -334,39 +333,17 @@ func (h *Handle) Dropped() uint64 { return h.q.Dropped() }
 // session ended — is a no-op returning nil. Must not be called from the
 // handle's own callback.
 func (h *Handle) Unsubscribe() error {
-	ran := false
-	h.retireOnce.Do(func() {
-		ran = true
+	return h.unsubscribe(func() error {
 		h.c.mu.Lock()
 		delete(h.c.handles, h.id)
 		h.c.mu.Unlock()
-		h.retireErr = h.c.conn.Send(wire.UnsubscribeFrame(h.id))
-		h.shutdown(true)
+		return h.c.conn.Send(wire.UnsubscribeFrame(h.id))
 	})
-	if !ran {
-		return nil
-	}
-	return h.retireErr
-}
-
-// retire tears the handle down without touching the client registry or
-// the wire (session teardown paths).
-func (h *Handle) retire(discard bool) {
-	h.retireOnce.Do(func() { h.shutdown(discard) })
-}
-
-// shutdown closes the queue and waits out the delivery goroutine.
-func (h *Handle) shutdown(discard bool) {
-	h.discard.Store(discard)
-	h.q.Close()
-	if h.drainDone != nil {
-		<-h.drainDone
-	}
 }
 
 // retireHandles tears down every handle when the session ends; queued
-// events drain to their consumers unless discard is set.
-func (c *Client) retireHandles(discard bool) {
+// events drain to their consumers.
+func (c *Client) retireHandles() {
 	c.mu.Lock()
 	hs := make([]*Handle, 0, len(c.handles))
 	for _, h := range c.handles {
@@ -381,41 +358,11 @@ func (c *Client) retireHandles(discard bool) {
 	c.durableIDs = make(map[uint64]struct{})
 	c.mu.Unlock()
 	for _, h := range hs {
-		h.retire(discard)
+		h.retire(false)
 	}
 	for _, d := range ds {
-		d.retire(discard)
+		d.retire(false)
 	}
-}
-
-// Subscribe registers a subscription under this client's name with a
-// caller-chosen ID, delivering on the shared Notifications channel.
-//
-// Deprecated: use SubscribeExpr or SubscribeNode, whose Handle owns a
-// per-subscription delivery queue and lifecycle.
-func (c *Client) Subscribe(id uint64, root *subscription.Node) error {
-	s, err := subscription.New(id, c.subscriber, root)
-	if err != nil {
-		return err
-	}
-	c.mu.Lock()
-	c.usedLegacy = true
-	c.mu.Unlock()
-	return c.conn.Send(wire.SubscribeFrame(s))
-}
-
-// Unsubscribe retracts a subscription by ID. For handle-based
-// subscriptions it is equivalent to Handle.Unsubscribe.
-//
-// Deprecated: use Handle.Unsubscribe.
-func (c *Client) Unsubscribe(id uint64) error {
-	c.mu.RLock()
-	h := c.handles[id]
-	c.mu.RUnlock()
-	if h != nil {
-		return h.Unsubscribe()
-	}
-	return c.conn.Send(wire.UnsubscribeFrame(id))
 }
 
 // Publish injects an event.
@@ -457,14 +404,13 @@ func (c *Client) PublishBatch(ms []*event.Message) error {
 	return nil
 }
 
-// Close ends the session: the connection closes, every handle retires
-// after draining its queued events, and the Notifications channel closes.
+// Close ends the session: the connection closes and every handle retires
+// after draining its queued events.
 func (c *Client) Close() error {
-	c.closeOnce.Do(func() { close(c.done) })
 	err := c.conn.Close()
 	// The read loop also retires handles on its way out; retiring here too
-	// (idempotent) covers sessions whose read loop is parked in a channel
-	// send rather than in Recv.
-	c.retireHandles(false)
+	// (idempotent) covers sessions whose read loop is parked in a Block
+	// handle's full queue rather than in Recv.
+	c.retireHandles()
 	return err
 }

@@ -14,8 +14,6 @@ package transport
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"dimprune/internal/delivery"
 	"dimprune/internal/event"
@@ -47,15 +45,7 @@ type DurableHandle struct {
 	id   uint64
 	c    *Client
 
-	q         *delivery.Queue[DurableEvent]
-	cb        func(DurableEvent)
-	manualAck bool
-
-	discard   atomic.Bool
-	drainDone chan struct{} // non-nil in callback mode
-
-	retireOnce sync.Once
-	retireErr  error
+	consumer[DurableEvent]
 }
 
 // durableOptions collects one durable subscription's settings.
@@ -135,15 +125,19 @@ func (c *Client) DurableSubscribeNode(name string, root *subscription.Node, opts
 		c.mu.Unlock()
 		return nil, err
 	}
-	d := &DurableHandle{name: name, id: id, c: c, cb: o.callback, manualAck: o.manualAck}
-	d.q = delivery.New[DurableEvent](o.buffer, delivery.Block)
+	d := &DurableHandle{name: name, id: id, c: c}
+	cb := o.callback
+	if cb != nil && !o.manualAck {
+		cb = func(ev DurableEvent) {
+			o.callback(ev)
+			_ = d.Ack(ev.Seq)
+		}
+	}
+	d.init(o.buffer, delivery.Block, cb)
 	c.durables[name] = d
 	c.durableIDs[id] = struct{}{}
 	c.mu.Unlock()
-	if d.cb != nil {
-		d.drainDone = make(chan struct{})
-		go d.drainLoop()
-	}
+	d.start()
 	if err := c.conn.Send(wire.DurableSubscribeFrame(name, s)); err != nil {
 		c.mu.Lock()
 		delete(c.durables, name)
@@ -155,43 +149,12 @@ func (c *Client) DurableSubscribeNode(name string, root *subscription.Node, opts
 	return d, nil
 }
 
-// drainLoop is the dedicated delivery goroutine of a callback handle.
-func (d *DurableHandle) drainLoop() {
-	defer close(d.drainDone)
-	for ev := range d.q.C() {
-		if d.discard.Load() {
-			continue
-		}
-		d.cb(ev)
-		if !d.manualAck {
-			_ = d.Ack(ev.Seq)
-		}
-	}
-}
-
-// deliver enqueues one replayed record from the session reader.
-func (d *DurableHandle) deliver(ev DurableEvent) { d.q.Enqueue(ev) }
-
 // Name returns the durable's name.
 func (d *DurableHandle) Name() string { return d.name }
 
 // ID returns the subscription ID of this attachment (a new one per
 // session; the durable's identity is its name).
 func (d *DurableHandle) ID() uint64 { return d.id }
-
-// C returns the delivery channel: replayed records in log order, closed
-// when the handle retires or the session ends (buffered records stay
-// receivable). Nil in callback mode.
-func (d *DurableHandle) C() <-chan DurableEvent {
-	if d.cb != nil {
-		return nil
-	}
-	return d.q.C()
-}
-
-// Delivered returns how many records the broker has handed this
-// attachment (redeliveries included).
-func (d *DurableHandle) Delivered() uint64 { return d.q.Enqueued() }
 
 // Ack marks every record up to and including seq as processed: the broker
 // persists the position, never redelivers past it, and may reclaim the
@@ -207,35 +170,13 @@ func (d *DurableHandle) Ack(seq uint64) error {
 // To merely detach (resume later from the cursor), close the session
 // instead. Idempotent after the handle retired.
 func (d *DurableHandle) Unsubscribe() error {
-	ran := false
-	d.retireOnce.Do(func() {
-		ran = true
+	return d.unsubscribe(func() error {
 		d.c.mu.Lock()
 		if d.c.durables[d.name] == d {
 			delete(d.c.durables, d.name)
 			delete(d.c.durableIDs, d.id)
 		}
 		d.c.mu.Unlock()
-		d.retireErr = d.c.conn.Send(wire.UnsubscribeFrame(d.id))
-		d.shutdown(true)
+		return d.c.conn.Send(wire.UnsubscribeFrame(d.id))
 	})
-	if !ran {
-		return nil
-	}
-	return d.retireErr
-}
-
-// retire tears the handle down without touching the registry or the wire
-// (session teardown paths).
-func (d *DurableHandle) retire(discard bool) {
-	d.retireOnce.Do(func() { d.shutdown(discard) })
-}
-
-// shutdown closes the queue and waits out the delivery goroutine.
-func (d *DurableHandle) shutdown(discard bool) {
-	d.discard.Store(discard)
-	d.q.Close()
-	if d.drainDone != nil {
-		<-d.drainDone
-	}
 }

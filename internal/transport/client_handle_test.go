@@ -9,6 +9,7 @@ import (
 	"dimprune/internal/delivery"
 	"dimprune/internal/event"
 	"dimprune/internal/subscription"
+	"dimprune/internal/wire"
 )
 
 // handleTestServer wires a server and one attached client session over an
@@ -68,12 +69,6 @@ func TestClientHandleChannelDelivery(t *testing.T) {
 	}
 	if h.Delivered() != 2 || h.Dropped() != 0 {
 		t.Errorf("delivered=%d dropped=%d, want 2/0", h.Delivered(), h.Dropped())
-	}
-	// The legacy shared channel stays silent for handle-only sessions.
-	select {
-	case m := <-c.Notifications():
-		t.Fatalf("legacy channel received event %d", m.ID)
-	case <-time.After(20 * time.Millisecond):
 	}
 }
 
@@ -144,23 +139,6 @@ func TestClientHandleDropOldest(t *testing.T) {
 	}
 }
 
-func TestClientLegacyChannelStillWorks(t *testing.T) {
-	srv, c := handleTestServer(t, "eve")
-	if err := c.Subscribe(7, subscription.Eq("x", event.Int(1))); err != nil {
-		t.Fatal(err)
-	}
-	waitLocalSubs(t, srv, 1)
-	srv.Publish(event.Build(1).Int("x", 1).Msg())
-	select {
-	case m := <-c.Notifications():
-		if m.ID != 1 {
-			t.Fatalf("received %d", m.ID)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("legacy delivery timed out")
-	}
-}
-
 func TestClientCloseDrainsHandles(t *testing.T) {
 	srv, c := handleTestServer(t, "eve")
 	h, err := c.SubscribeExpr(`x = 1`, WithBuffer(8))
@@ -214,35 +192,114 @@ func TestClientAutoIDsDistinctAcrossSessions(t *testing.T) {
 	}
 }
 
-func TestClientMixedLegacyAndHandleOverlap(t *testing.T) {
+// TestSessionOverlappingHandlesDeliverOnce pins the one-frame-per-session
+// rule: the client re-matches every frame against every handle, so a frame
+// per matching subscription handed each of k overlapping handles k copies.
+func TestSessionOverlappingHandlesDeliverOnce(t *testing.T) {
 	srv, c := handleTestServer(t, "eve")
-	// Legacy subscription and handle subscription overlap on x = 1: the
-	// legacy channel must keep its every-frame feed even though a handle
-	// also matches.
-	if err := c.Subscribe(7, subscription.MustParse(`x >= 1`)); err != nil {
+	var hs []*Handle
+	for _, expr := range []string{`x >= 1`, `x = 1`, `x <= 1`} {
+		h, err := c.SubscribeExpr(expr, WithBuffer(1), WithPolicy(delivery.DropOldest))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs = append(hs, h)
+	}
+	done, err := c.SubscribeExpr(`done exists`)
+	if err != nil {
 		t.Fatal(err)
 	}
+	waitLocalSubs(t, srv, 4)
+	const n = 50
+	for i := 1; i <= n; i++ {
+		srv.Publish(event.Build(uint64(i)).Int("x", 1).Msg())
+	}
+	// The outbox is FIFO: once the marker is through, so is every event.
+	srv.Publish(event.Build(n+1).Int("done", 1).Msg())
+	select {
+	case <-done.C():
+	case <-time.After(2 * time.Second):
+		t.Fatal("marker event timed out")
+	}
+	for i, h := range hs {
+		if got := h.Delivered(); got != n {
+			t.Errorf("handle %d: Delivered = %d, want exactly %d", i, got, n)
+		}
+	}
+}
+
+// TestSessionEndRetractsSubscriptions: a session that dies without
+// unsubscribing must not leave its subscriptions in the routing table or
+// advertised to neighbors — its handle IDs carry a per-session random
+// prefix, so nothing could ever reattach to them.
+func TestSessionEndRetractsSubscriptions(t *testing.T) {
+	srv, c := handleTestServer(t, "eve")
+	nbrConn, linkConn := Pipe()
+	if _, err := srv.AttachLink(linkConn); err != nil {
+		t.Fatal(err)
+	}
+	// A missing frame fails the Recv below instead of hanging the test.
+	defer time.AfterFunc(5*time.Second, func() { nbrConn.Close() }).Stop()
+	defer nbrConn.Close()
 	h, err := c.SubscribeExpr(`x = 1`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitLocalSubs(t, srv, 2)
-	srv.Publish(event.Build(1).Int("x", 1).Msg())
-	select {
-	case m := <-h.C():
-		if m.ID != 1 {
-			t.Fatalf("handle received %d", m.ID)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("handle delivery timed out")
+	if f, err := nbrConn.Recv(); err != nil || f.Type != wire.FrameSubscribe || f.Sub.ID != h.ID() {
+		t.Fatalf("neighbor got %v, %v; want the forwarded subscribe", f, err)
 	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if f, err := nbrConn.Recv(); err != nil || f.Type != wire.FrameUnsubscribe || f.SubID != h.ID() {
+		t.Fatalf("neighbor got %v, %v; want the retraction of %d", f, err, h.ID())
+	}
+	waitLocalSubs(t, srv, 0)
+}
+
+// gatedRouter is a broker whose retractions wait for the gate, the way a
+// remote shard's round trip would.
+type gatedRouter struct {
+	*broker.Broker
+	entered chan struct{} // receives once per retraction that reached the gate
+	gate    chan struct{}
+}
+
+func (r *gatedRouter) UnsubscribeLocal(id uint64) ([]broker.Outgoing, error) {
+	r.entered <- struct{}{}
+	<-r.gate
+	return r.Broker.UnsubscribeLocal(id)
+}
+
+// A subscriber reconnecting under its name must not wait for the server to
+// finish retracting its previous session's subscriptions.
+func TestSessionEndFreesNameBeforeRetracting(t *testing.T) {
+	b, err := broker.New(broker.Config{ID: "hub"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &gatedRouter{Broker: b, entered: make(chan struct{}, 1), gate: make(chan struct{})}
+	srv := NewServer(r, nil)
+	defer srv.Shutdown()
+	defer close(r.gate)
+	sc, cc := Pipe()
+	if err := srv.AttachClient("eve", sc); err != nil {
+		t.Fatal(err)
+	}
+	c := NewClient("eve", cc)
+	if _, err := c.SubscribeExpr(`x = 1`); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return b.Stats().LocalSubs == 1 })
+	_ = c.Close()
 	select {
-	case m := <-c.Notifications():
-		if m.ID != 1 {
-			t.Fatalf("legacy channel received %d", m.ID)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("legacy channel starved by overlapping handle match")
+	case <-r.entered: // the old session is now stuck mid-retraction
+	case <-time.After(5 * time.Second):
+		t.Fatal("the ended session never retracted its subscription")
+	}
+	sc2, _ := Pipe()
+	if err := srv.AttachClient("eve", sc2); err != nil {
+		t.Fatalf("reconnect during the previous session's retraction: %v", err)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"dimprune/internal/event"
-	"dimprune/internal/subscription"
 	"dimprune/internal/wire"
 )
 
@@ -24,7 +23,8 @@ func TestListenClientsHelloFlow(t *testing.T) {
 	client := NewClient("dora", conn) // sends hello automatically
 	defer client.Close()
 
-	if err := client.Subscribe(1, subscription.MustParse(`x = 1`)); err != nil {
+	h, err := client.SubscribeExpr(`x = 1`)
+	if err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool { return srv.Stats().LocalSubs == 1 })
@@ -33,7 +33,7 @@ func TestListenClientsHelloFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	select {
-	case m := <-client.Notifications():
+	case m := <-h.C():
 		if m.ID != 1 {
 			t.Errorf("notification = %s", m)
 		}

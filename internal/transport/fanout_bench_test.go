@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"sync"
 	"testing"
 
 	"dimprune/internal/broker"
 	"dimprune/internal/event"
 	"dimprune/internal/subscription"
+	"dimprune/internal/wire"
 )
 
 // newFanoutServer builds a broker server with fanout attached links, each a
@@ -69,6 +71,60 @@ func BenchmarkDispatchFanout(b *testing.B) {
 		b.Run(fmt.Sprintf("fanout=%d", fanout), func(b *testing.B) {
 			s, cleanup := newFanoutServer(b, fanout)
 			defer cleanup()
+			m := fanoutEvent()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.Publish(m)
+			}
+		})
+	}
+}
+
+// sinkConn is a client connection that swallows whatever the server sends
+// and never sends anything itself.
+type sinkConn struct {
+	closed chan struct{}
+	once   sync.Once
+}
+
+func (c *sinkConn) Send(wire.Frame) error { return nil }
+func (c *sinkConn) Recv() (wire.Frame, error) {
+	<-c.closed
+	return wire.Frame{}, ErrClosed
+}
+func (c *sinkConn) Close() error {
+	c.once.Do(func() { close(c.closed) })
+	return nil
+}
+
+// BenchmarkDispatchSessions measures the delivery side of dispatch: one
+// published event matching one subscription of each of n attached client
+// sessions whose connections swallow the frames. The per-session dedupe
+// must stay linear in the deliveries: ns/op divided by n is flat from a
+// handful of sessions to thousands.
+func BenchmarkDispatchSessions(b *testing.B) {
+	for _, n := range []int{1, 8, 64, 256, 1000, 8000} {
+		b.Run(fmt.Sprintf("sessions=%d", n), func(b *testing.B) {
+			bk, err := broker.New(broker.Config{ID: "hub"})
+			if err != nil {
+				b.Fatal(err)
+			}
+			s := NewServer(bk, nil)
+			defer s.Shutdown()
+			for i := 0; i < n; i++ {
+				name := fmt.Sprintf("client%d", i)
+				if err := s.AttachClient(name, &sinkConn{closed: make(chan struct{})}); err != nil {
+					b.Fatal(err)
+				}
+				sub, err := subscription.New(uint64(1+i), name, subscription.MustParse(`price exists`))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := s.Subscribe(sub); err != nil {
+					b.Fatal(err)
+				}
+			}
 			m := fanoutEvent()
 			b.ReportAllocs()
 			b.ResetTimer()

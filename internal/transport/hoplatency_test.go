@@ -43,6 +43,9 @@ func TestHopLatencyObservesForwardedPublishes(t *testing.T) {
 		s0.Publish(event.Build(i).Int("x", 1).Msg())
 		<-dels1
 	}
+	// The sample is recorded after dispatch returns, i.e. after the
+	// delivery above was handed over: wait for it rather than race it.
+	waitFor(t, func() bool { return s1.HopLatency().Count >= 3 })
 	got := s1.HopLatency()
 	if got.Count != 3 {
 		t.Fatalf("hop samples = %d, want 3", got.Count)

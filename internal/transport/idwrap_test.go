@@ -66,8 +66,10 @@ func TestAutoIDWraparoundSkipsLiveHandles(t *testing.T) {
 // session namespace, so a wrapped counter landing on a durable's ID must
 // skip it just the same.
 func TestAutoIDWraparoundSkipsDurables(t *testing.T) {
-	srv := NewServer(newBroker(t, "b1"), nil)
-	defer srv.Shutdown()
+	// The server needs a WAL: without one the durable subscribe is a
+	// protocol error, the server drops the session, and the client's
+	// teardown empties the live-ID sets while this test is still allocating.
+	srv, _ := durableServer(t, t.TempDir(), nil)
 	addr, err := srv.ListenClients("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -80,8 +82,7 @@ func TestAutoIDWraparoundSkipsDurables(t *testing.T) {
 	defer c.Close()
 
 	// The client registers the durable (and reserves its ID) before the
-	// frame leaves, so the allocator must respect it whether or not the
-	// broker has a WAL attached.
+	// frame leaves.
 	d, err := c.DurableSubscribeNode("cursor", subscription.MustParse(`x = 1`))
 	if err != nil {
 		t.Fatal(err)

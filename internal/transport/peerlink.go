@@ -122,6 +122,9 @@ func redialJitter(rng *rand.Rand, cap time.Duration) time.Duration {
 // that refuses the link (cycle, self link) or is unreachable surfaces
 // here. The returned Peer stops reconnecting on Peer.Close or Shutdown.
 func (s *Server) DialPeer(addr string) (*Peer, error) {
+	if s.b == nil {
+		return nil, ErrNoOverlay
+	}
 	p := &Peer{s: s, addr: addr, rng: newRedialRand(), stop: make(chan struct{})}
 	down, err := p.connect()
 	if err != nil {

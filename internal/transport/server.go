@@ -1,8 +1,8 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -15,20 +15,30 @@ import (
 	"dimprune/internal/wire"
 )
 
-// Server runs one broker over real connections as a concurrent pipeline:
-// connection readers decode frames and hand them to the broker, whose
-// data plane (publishes) runs shared so many events match at once while
-// its control plane (subscribe/unsubscribe/prune/snapshot) runs exclusive;
-// resulting frames land in per-peer outboxes drained by writer goroutines.
-// Slow peers therefore only stall their own outbox, and publish throughput
-// scales with cores instead of serializing behind one server mutex.
+// Server runs one router — a broker, or a fleet coordinator — over real
+// connections as a concurrent pipeline: connection readers decode frames
+// and hand them to the router, whose data plane (publishes) runs shared so
+// many events match at once while its control plane (subscribe/unsubscribe/
+// prune/snapshot) runs exclusive; resulting frames land in per-peer
+// outboxes drained by writer goroutines. Slow peers therefore only stall
+// their own outbox, and publish throughput scales with cores instead of
+// serializing behind one server mutex.
+//
+// Client sessions, durables, dispatch, listeners and shutdown only ever
+// call the Router seam, so they run the same code whatever sits behind
+// it. The overlay-link entry points (Listen, DialPeer, DialLink,
+// AttachLink) need a routing broker and fail with ErrNoOverlay on any
+// other router; Prune and Stats are the broker's and read zero without one.
 //
 // The server's own mutex only guards its connection registry (links,
-// clients, listener, closed); it is never held across broker calls or
+// clients, listeners, closed); it is never held across router calls or
 // socket writes.
 type Server struct {
 	mu sync.RWMutex
-	b  *broker.Broker
+	r  broker.Router
+	// b is r when the router is a routing broker and nil otherwise; only
+	// the overlay-link code touches it.
+	b *broker.Broker
 
 	// ctl makes a control-plane broker mutation and the dispatch of its
 	// resulting frames one atomic step. Without it, two concurrent
@@ -40,7 +50,7 @@ type Server struct {
 	ctl sync.Mutex
 
 	links   map[broker.LinkID]*peerConn
-	clients map[string]*peerConn
+	clients map[string]*session
 
 	// Overlay membership for the connect-time acyclicity check: the broker
 	// IDs known to be in this broker's component (own ID included), and the
@@ -53,7 +63,7 @@ type Server struct {
 	// yet (pre-handshake); Shutdown closes them so their readers unblock.
 	pending map[Conn]struct{}
 
-	listener  net.Listener
+	listeners []net.Listener
 	onDeliver func(broker.Delivery)
 	logf      func(format string, args ...any)
 	peerDial  func(addr string) (Conn, error)
@@ -82,21 +92,40 @@ type peerConn struct {
 	onDown func()
 }
 
-// NewServer wraps a broker. onDeliver (optional) receives notifications for
-// local subscribers that are not attached client sessions; it may be called
-// concurrently from publishing goroutines.
-func NewServer(b *broker.Broker, onDeliver func(broker.Delivery)) *Server {
-	return &Server{
-		b:            b,
+// session is one attached client connection. subs holds the IDs of its
+// live non-durable subscriptions, retracted when the session ends; only
+// the session's reader goroutine touches it.
+type session struct {
+	peerConn
+	name string
+	subs map[uint64]struct{}
+}
+
+// ErrNoOverlay reports an overlay-link operation on a server whose router
+// is not a routing broker (a fleet coordinator has no neighbor links).
+var ErrNoOverlay = errors.New("transport: router is not an overlay broker")
+
+// NewServer serves a router. onDeliver (optional) receives notifications for
+// local subscribers that are not attached client sessions, one call per
+// matching subscription; it may be called concurrently from publishing
+// goroutines.
+func NewServer(r broker.Router, onDeliver func(broker.Delivery)) *Server {
+	s := &Server{
+		r:            r,
 		links:        make(map[broker.LinkID]*peerConn),
-		clients:      make(map[string]*peerConn),
-		members:      map[string]struct{}{b.ID(): {}},
+		clients:      make(map[string]*session),
+		members:      make(map[string]struct{}),
 		linkMembers:  make(map[broker.LinkID][]string),
 		pending:      make(map[Conn]struct{}),
 		durables:     make(map[string]*durableSession),
 		durableNames: make(map[uint64]string),
 		onDeliver:    onDeliver,
 	}
+	if b, ok := r.(*broker.Broker); ok {
+		s.b = b
+		s.members[b.ID()] = struct{}{}
+	}
+	return s
 }
 
 // SetLogf installs an optional diagnostic logger for peer-link lifecycle
@@ -158,8 +187,8 @@ func (s *Server) logPeer(format string, args ...any) {
 	}
 }
 
-// Broker exposes the underlying broker for stats; the broker is safe for
-// concurrent use.
+// Broker exposes the underlying broker for stats (nil when the router is
+// not a broker); the broker is safe for concurrent use.
 func (s *Server) Broker() *broker.Broker { return s.b }
 
 // AttachLink registers conn as a neighbor-broker connection (no peer
@@ -183,6 +212,9 @@ type recvResult struct {
 // a pending pre-attachment read that the reader consumes ahead of the
 // stream, and onDown (optional) runs after the link detaches.
 func (s *Server) attachLink(conn Conn, hello *wire.PeerHello, first <-chan recvResult, onDown func()) (broker.LinkID, error) {
+	if s.b == nil {
+		return 0, ErrNoOverlay
+	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -364,7 +396,9 @@ func (s *Server) detachLink(id broker.LinkID) {
 
 // AttachClient registers conn as a local client session named subscriber.
 // Deliveries for that subscriber flow back over the connection as publish
-// frames.
+// frames: one frame per event, however many of the session's subscriptions
+// it matches (the client demultiplexes by re-matching its handles). A
+// second concurrent session under the same name is refused.
 func (s *Server) AttachClient(subscriber string, conn Conn) error {
 	s.mu.Lock()
 	if s.closed {
@@ -375,20 +409,27 @@ func (s *Server) AttachClient(subscriber string, conn Conn) error {
 		s.mu.Unlock()
 		return fmt.Errorf("transport: client %q already attached", subscriber)
 	}
-	p := &peerConn{conn: conn, out: newOutbox(conn)}
+	p := &session{
+		peerConn: peerConn{conn: conn, out: newOutbox(conn)},
+		name:     subscriber,
+		subs:     make(map[uint64]struct{}),
+	}
 	s.clients[subscriber] = p
 	s.wg.Add(2) // reader/writer slots, reserved while !closed is known
 	s.mu.Unlock()
 
-	s.startClient(subscriber, p)
+	s.startClient(p)
 	return nil
 }
 
 // startClient spawns the reader and writer goroutines for a client session;
 // the caller has already reserved their two WaitGroup slots under s.mu.
-// When the session's reader exits, the client detaches from the registry so
-// the subscriber may reconnect under the same name.
-func (s *Server) startClient(subscriber string, p *peerConn) {
+// The session ends when its connection dies or it commits a protocol error:
+// it leaves the registry, so the subscriber may reconnect under the same
+// name, and its non-durable subscriptions are retracted (the retractions
+// forwarded exactly as if it had unsubscribed). Durables stay — outliving
+// the session is their purpose.
+func (s *Server) startClient(p *session) {
 	go func() {
 		defer s.wg.Done()
 		p.out.drain()
@@ -398,21 +439,27 @@ func (s *Server) startClient(subscriber string, p *peerConn) {
 		for {
 			f, err := p.conn.Recv()
 			if err != nil {
-				p.out.close()
 				break
 			}
-			if err := s.handleClientFrame(subscriber, f); err != nil {
-				// A protocol error from this peer; drop the connection.
-				p.out.close()
-				_ = p.conn.Close()
+			if err := s.handleClientFrame(p, f); err != nil {
+				s.logPeer("client %q: protocol error, dropping session: %v", p.name, err)
 				break
 			}
 		}
+		p.out.close()
+		_ = p.conn.Close()
+		// Free the name first: each retraction is a control-plane step (a
+		// round trip per remote shard), and a subscriber reconnecting
+		// meanwhile must not be refused. Frames its new session gets for the
+		// old subscriptions match none of its handles and are dropped there.
 		s.mu.Lock()
-		if s.clients[subscriber] == p {
-			delete(s.clients, subscriber)
+		if s.clients[p.name] == p {
+			delete(s.clients, p.name)
 		}
 		s.mu.Unlock()
+		for id := range p.subs {
+			_ = s.retract(id) // fails only if someone else already retracted it
+		}
 	}()
 }
 
@@ -442,7 +489,10 @@ func (s *Server) handleLinkFrame(from broker.LinkID, f wire.Frame) error {
 	return err
 }
 
-func (s *Server) handleClientFrame(subscriber string, f wire.Frame) error {
+// handleClientFrame runs on the session's reader goroutine; an error is a
+// protocol error that ends the session.
+func (s *Server) handleClientFrame(p *session, f wire.Frame) error {
+	subscriber := p.name
 	switch f.Type {
 	case wire.FrameHello:
 		if f.Subscriber != subscriber {
@@ -453,12 +503,16 @@ func (s *Server) handleClientFrame(subscriber string, f wire.Frame) error {
 		if f.Sub.Subscriber != subscriber {
 			return fmt.Errorf("transport: client %q subscribing as %q", subscriber, f.Sub.Subscriber)
 		}
-		_, err := s.Subscribe(f.Sub)
-		return err
+		if _, err := s.Subscribe(f.Sub); err != nil {
+			return err
+		}
+		p.subs[f.Sub.ID] = struct{}{}
+		return nil
 	case wire.FrameUnsubscribe:
 		if s.durableUnsubscribe(f.SubID) {
 			return nil
 		}
+		delete(p.subs, f.SubID)
 		return s.Unsubscribe(f.SubID)
 	case wire.FramePublish:
 		s.Publish(f.Msg)
@@ -484,7 +538,7 @@ func (s *Server) Subscribe(sub *subscription.Subscription) (uint64, error) {
 	}
 	s.ctl.Lock()
 	defer s.ctl.Unlock()
-	out, err := s.b.SubscribeLocal(sub)
+	out, err := s.r.SubscribeLocal(sub)
 	if err != nil {
 		return 0, err
 	}
@@ -497,9 +551,16 @@ func (s *Server) Unsubscribe(id uint64) error {
 	if s.isClosed() {
 		return ErrClosed
 	}
+	return s.retract(id)
+}
+
+// retract is Unsubscribe without the closed check: sessions ending because
+// of Shutdown still retract, so a router that outlives the server (remote
+// fleet shards) is left clean.
+func (s *Server) retract(id uint64) error {
 	s.ctl.Lock()
 	defer s.ctl.Unlock()
-	out, err := s.b.UnsubscribeLocal(id)
+	out, err := s.r.UnsubscribeLocal(id)
 	if err != nil {
 		return err
 	}
@@ -514,7 +575,7 @@ func (s *Server) Publish(m *event.Message) {
 		return
 	}
 	s.logEvent(m)
-	out, dels := s.b.PublishLocal(m)
+	out, dels := s.r.PublishLocal(m)
 	s.dispatch(out, dels)
 }
 
@@ -528,32 +589,25 @@ func (s *Server) PublishBatch(ms []*event.Message) {
 	for _, m := range ms {
 		s.logEvent(m)
 	}
-	out, dels := s.b.PublishLocalBatch(ms)
+	out, dels := s.r.PublishLocalBatch(ms)
 	s.dispatch(out, dels)
 }
 
 // Prune applies up to n pruning steps (exclusive with routing, inside the
 // broker).
 func (s *Server) Prune(n int) int {
+	if s.b == nil {
+		return 0
+	}
 	return s.b.Prune(n)
 }
 
-// WriteSnapshot serializes the routing table (routing may continue).
-func (s *Server) WriteSnapshot(w io.Writer) error {
-	return s.b.WriteSnapshot(w)
-}
-
-// ReadSnapshot restores the routing table. Links referenced by the snapshot
-// must already be attached, and no subscription may have arrived yet; call
-// it between dialing static peers and opening listeners. The broker runs it
-// exclusively, so a frame that slips in first fails the restore cleanly
-// rather than corrupting it.
-func (s *Server) ReadSnapshot(r io.Reader) error {
-	return s.b.ReadSnapshot(r)
-}
-
-// Stats snapshots the broker (concurrent with traffic).
+// Stats snapshots the broker (concurrent with traffic); zero when the
+// router is not a broker.
 func (s *Server) Stats() broker.Stats {
+	if s.b == nil {
+		return broker.Stats{}
+	}
 	return s.b.Stats()
 }
 
@@ -568,6 +622,12 @@ func (s *Server) isClosed() bool {
 // dispatches run concurrently, and outboxes serialize per peer. A peer that
 // detaches concurrently just misses the frames (its outbox is closed, and
 // the frame's encoding reference is released here instead).
+//
+// A session gets one publish frame per event however many of its
+// subscriptions matched — its client re-matches the frame against every
+// handle, so a frame per subscription would deliver an event matching k
+// handles k times to each. Subscribers without a session go to onDeliver
+// once per matching subscription.
 //
 // Encode-once bookkeeping: each Outgoing arrives carrying one reference on
 // its shared encoding, which pushing transfers to the outbox. Client
@@ -585,7 +645,8 @@ func (s *Server) dispatch(out []broker.Outgoing, dels []broker.Delivery) {
 		var (
 			cacheMsg *event.Message
 			cacheEnc *wire.EncodedFrame
-			owned    bool // cacheEnc's base reference is ours to drop
+			owned    bool                              // cacheEnc's base reference is ours to drop
+			sent     = sessionSets.Get().(*sessionSet) // the sessions already handed cacheMsg
 		)
 		for _, d := range dels {
 			p := s.clients[d.Subscriber]
@@ -604,6 +665,7 @@ func (s *Server) dispatch(out []broker.Outgoing, dels []broker.Delivery) {
 					cacheEnc.Release()
 				}
 				cacheMsg, cacheEnc, owned = d.Msg, nil, false
+				sent.reset()
 				for i := range out {
 					if out[i].Enc != nil && out[i].Frame.Type == wire.FramePublish && out[i].Frame.Msg == d.Msg {
 						cacheEnc = out[i].Enc // borrowed: out's reference is still held
@@ -615,6 +677,9 @@ func (s *Server) dispatch(out []broker.Outgoing, dels []broker.Delivery) {
 						cacheEnc, owned = enc, true
 					}
 				}
+			}
+			if !sent.add(p) {
+				continue
 			}
 			var enc *wire.EncodedFrame
 			if cacheEnc != nil {
@@ -628,6 +693,8 @@ func (s *Server) dispatch(out []broker.Outgoing, dels []broker.Delivery) {
 		if owned {
 			cacheEnc.Release()
 		}
+		sent.reset()
+		sessionSets.Put(sent)
 	}
 	for i := range out {
 		o := &out[i]
@@ -638,12 +705,94 @@ func (s *Server) dispatch(out []broker.Outgoing, dels []broker.Delivery) {
 	}
 }
 
+// sessionSet is the set of sessions one event has already been queued for.
+// Its cost follows the deliveries it sees: members are listed, a short
+// list is scanned, and a long one is indexed by a map.
+type sessionSet struct {
+	list  []*session
+	index map[*session]struct{} // list's members while there are more than sessionScan
+	peak  int                   // the longest list index has held
+}
+
+// sessionScan is the longest list add scans instead of indexing.
+const sessionScan = 64
+
+// sessionSets recycles the sets between dispatches, so that deduplicating
+// never allocates once a server has seen its usual fan-out.
+var sessionSets = sync.Pool{New: func() any {
+	return &sessionSet{index: make(map[*session]struct{})}
+}}
+
+// add puts p in the set and reports whether it was absent.
+func (t *sessionSet) add(p *session) bool {
+	if len(t.list) <= sessionScan {
+		for _, q := range t.list {
+			if q == p {
+				return false
+			}
+		}
+		if len(t.list) == sessionScan {
+			for _, q := range t.list {
+				t.index[q] = struct{}{}
+			}
+		}
+	} else if _, dup := t.index[p]; dup {
+		return false
+	}
+	if len(t.list) >= sessionScan {
+		t.index[p] = struct{}{}
+	}
+	t.list = append(t.list, p)
+	return true
+}
+
+// reset empties the set for the next event. Clearing a map costs its
+// capacity, not its members, so an index that a far broader event grew is
+// dropped rather than cleared for every narrow event after it.
+func (t *sessionSet) reset() {
+	if n := len(t.list); n > sessionScan {
+		t.peak = max(t.peak, n)
+		if 8*n < t.peak {
+			t.index, t.peak = make(map[*session]struct{}), 0
+		} else {
+			clear(t.index)
+		}
+	}
+	clear(t.list) // a recycled set must not keep ended sessions alive
+	t.list = t.list[:0]
+}
+
 // Listen starts accepting neighbor-broker connections on addr. A
 // connection whose first frame is a peer hello goes through the overlay
 // handshake (acyclicity check, membership exchange, state sync — see
 // peerlink.go); any other first frame attaches the connection as a raw
 // link, the pre-handshake protocol still spoken by DialLink.
 func (s *Server) Listen(addr string) (string, error) {
+	if s.b == nil {
+		return "", ErrNoOverlay
+	}
+	return s.listen(addr, s.classifyAccepted)
+}
+
+// ListenClients starts accepting client sessions on addr. Each connection
+// must introduce itself with a hello frame naming its subscriber; the
+// session is then attached under that name.
+func (s *Server) ListenClients(addr string) (string, error) {
+	return s.listen(addr, func(conn Conn) {
+		f, err := conn.Recv()
+		if err != nil || f.Type != wire.FrameHello {
+			_ = conn.Close()
+			return
+		}
+		if err := s.AttachClient(f.Subscriber, conn); err != nil {
+			_ = conn.Close()
+		}
+	})
+}
+
+// listen binds addr and hands every accepted connection to serve on a
+// goroutine of its own; Shutdown closes the listener and waits for both.
+func (s *Server) listen(addr string, serve func(Conn)) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", fmt.Errorf("transport: listen %s: %w", addr, err)
@@ -654,7 +803,7 @@ func (s *Server) Listen(addr string) (string, error) {
 		_ = ln.Close()
 		return "", ErrClosed
 	}
-	s.listener = ln
+	s.listeners = append(s.listeners, ln)
 	s.wg.Add(1) // accept-loop slot, reserved while !closed is known
 	s.mu.Unlock()
 
@@ -670,57 +819,7 @@ func (s *Server) Listen(addr string) (string, error) {
 			s.wg.Add(1) //dimlint:ignore lockplane Add runs inside a tracked goroutine whose own slot keeps the counter nonzero, so Wait cannot pass before it
 			go func() {
 				defer s.wg.Done()
-				s.classifyAccepted(NewTCPConn(nc))
-			}()
-		}
-	}()
-	return ln.Addr().String(), nil
-}
-
-// ListenClients starts accepting client sessions on addr. Each connection
-// must introduce itself with a hello frame naming its subscriber; the
-// session is then attached under that name.
-func (s *Server) ListenClients(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("transport: listen clients %s: %w", addr, err)
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		_ = ln.Close()
-		return "", ErrClosed
-	}
-	// Track as the (single) client listener by reusing the shutdown path:
-	// both listeners close on Shutdown.
-	if s.listener == nil {
-		s.listener = ln
-	} else {
-		prev := s.listener
-		s.listener = &dualListener{a: prev, b: ln}
-	}
-	s.wg.Add(1) // accept-loop slot, reserved while !closed is known
-	s.mu.Unlock()
-
-	go func() {
-		defer s.wg.Done()
-		for {
-			nc, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			s.wg.Add(1) //dimlint:ignore lockplane Add runs inside a tracked goroutine whose own slot keeps the counter nonzero, so Wait cannot pass before it
-			go func() {
-				defer s.wg.Done()
-				conn := NewTCPConn(nc)
-				f, err := conn.Recv()
-				if err != nil || f.Type != wire.FrameHello {
-					_ = conn.Close()
-					return
-				}
-				if err := s.AttachClient(f.Subscriber, conn); err != nil {
-					_ = conn.Close()
-				}
+				serve(NewTCPConn(nc))
 			}()
 		}
 	}()
@@ -800,21 +899,6 @@ func (s *Server) unpend(conn Conn) {
 	s.mu.Unlock()
 }
 
-// dualListener lets Shutdown close both the link and client listeners
-// through one handle.
-type dualListener struct{ a, b net.Listener }
-
-func (d *dualListener) Accept() (net.Conn, error) { return nil, net.ErrClosed }
-func (d *dualListener) Addr() net.Addr            { return d.a.Addr() }
-func (d *dualListener) Close() error {
-	err1 := d.a.Close()
-	err2 := d.b.Close()
-	if err1 != nil {
-		return err1
-	}
-	return err2
-}
-
 // DialLink connects to a neighbor broker's listener and attaches the
 // connection as a link.
 func (s *Server) DialLink(addr string) (broker.LinkID, error) {
@@ -830,7 +914,7 @@ func (s *Server) DialLink(addr string) (broker.LinkID, error) {
 	return id, nil
 }
 
-// Shutdown closes the listener, stops every peer dialer, and closes every
+// Shutdown closes the listeners, stops every peer dialer, and closes every
 // connection, then waits for all goroutines to exit. It is idempotent.
 func (s *Server) Shutdown() {
 	s.mu.Lock()
@@ -840,7 +924,7 @@ func (s *Server) Shutdown() {
 		return
 	}
 	s.closed = true
-	ln := s.listener
+	listeners := s.listeners
 	// Copy the peer list: forgetPeer compacts s.peers in place under the
 	// lock, which must not race this iteration.
 	peers := append([]*Peer(nil), s.peers...)
@@ -849,7 +933,7 @@ func (s *Server) Shutdown() {
 		conns = append(conns, p)
 	}
 	for _, p := range s.clients {
-		conns = append(conns, p)
+		conns = append(conns, &p.peerConn)
 	}
 	pending := make([]Conn, 0, len(s.pending))
 	for c := range s.pending {
@@ -861,7 +945,7 @@ func (s *Server) Shutdown() {
 	for _, p := range peers {
 		p.stopDialing()
 	}
-	if ln != nil {
+	for _, ln := range listeners {
 		_ = ln.Close()
 	}
 	for _, p := range conns {

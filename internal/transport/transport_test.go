@@ -156,7 +156,8 @@ func TestClientSessionOverTCP(t *testing.T) {
 	}
 	client := NewClient("carol", ln)
 
-	if err := client.Subscribe(1, subscription.MustParse(`x >= 5`)); err != nil {
+	h, err := client.SubscribeExpr(`x >= 5`)
+	if err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool { return srv.Stats().LocalSubs == 1 })
@@ -165,7 +166,7 @@ func TestClientSessionOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	select {
-	case m := <-client.Notifications():
+	case m := <-h.C():
 		if v, _ := m.Get("x"); v.AsInt() != 7 {
 			t.Errorf("notification = %s", m)
 		}
@@ -173,7 +174,7 @@ func TestClientSessionOverTCP(t *testing.T) {
 		t.Fatal("notification timed out")
 	}
 
-	if err := client.Unsubscribe(1); err != nil {
+	if err := h.Unsubscribe(); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool { return srv.Stats().LocalSubs == 0 })

@@ -24,11 +24,6 @@ const (
 	// acked, so nothing is shed. It cannot be combined with the drop
 	// policies and requires WithDurable.
 	Persist = delivery.Persist
-	// Synchronous is the reported policy of legacy subscriptions made
-	// through the deprecated OnNotify API, which deliver synchronously on
-	// the publishing goroutine and have no queue. It is reporting-only and
-	// cannot be requested via WithPolicy.
-	Synchronous = delivery.Synchronous
 )
 
 // DefaultBuffer is the per-subscription queue capacity used when

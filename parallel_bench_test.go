@@ -42,7 +42,10 @@ func benchEmbedded(b *testing.B, wl string, workers, shards, nSubs, nEvents int)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := ps.Subscribe(s.Subscriber, s.Root); err != nil {
+		// Nobody reads the handles: the benchmarks measure the publish
+		// path, so every queue sheds instead of blocking it.
+		if _, err := ps.SubscribeTree(s.Root, WithSubscriber(s.Subscriber),
+			WithBuffer(1), WithPolicy(DropNewest)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -69,16 +72,17 @@ func BenchmarkPublishParallel(b *testing.B) {
 		for _, l := range layouts {
 			b.Run(fmt.Sprintf("workload=%s/workers=%d/shards=%d", wl, l.workers, l.shards), func(b *testing.B) {
 				ps, events := benchEmbedded(b, wl, l.workers, l.shards, nSubs, 4096)
-				var sink atomic.Uint64
-				ps.OnNotify(func(Notification) { sink.Add(1) })
+				matches := 0
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := ps.Publish(events[i%len(events)]); err != nil {
+					n, err := ps.Publish(events[i%len(events)])
+					if err != nil {
 						b.Fatal(err)
 					}
+					matches += n
 				}
 				b.StopTimer()
-				if sink.Load() == 0 {
+				if matches == 0 {
 					b.Fatal("benchmark workload matched nothing")
 				}
 			})
