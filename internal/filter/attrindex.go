@@ -1,6 +1,9 @@
 package filter
 
 import (
+	"cmp"
+	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -16,27 +19,24 @@ import (
 //     (numerically equal int/float collapse to one key).
 //   - Numeric and string range predicates live in threshold arrays sorted on
 //     demand: bulk registration appends and marks the array dirty, queries
-//     binary-search. Removal is lazy (tombstones compacted at next sort) so
-//     bulk pruning phases stay cheap.
+//     binary-search. Removal is lazy (tombstones dropped at the next query)
+//     so bulk pruning phases stay cheap.
 //   - Everything else (≠, prefix/suffix/contains, exists, range predicates
-//     whose literal kind needs per-value checks) goes to a scan list
-//     evaluated against the concrete value.
+//     whose literal is neither a number nor a string, or is NaN) goes to a
+//     scan list evaluated against the concrete value.
 type attrIndex struct {
 	eq map[event.Value][]predID
 
-	numLess    thresholdSet // OpLt/OpLe with numeric literal
-	numGreater thresholdSet // OpGt/OpGe with numeric literal
-	strLess    strThresholdSet
-	strGreater strThresholdSet
+	numLess    thresholdSet[float64] // OpLt/OpLe with numeric literal
+	numGreater thresholdSet[float64] // OpGt/OpGe with numeric literal
+	strLess    thresholdSet[string]
+	strGreater thresholdSet[string]
 
-	scan map[predID]subscription.Predicate
+	scan predList
 }
 
 func newAttrIndex() *attrIndex {
-	return &attrIndex{
-		eq:   make(map[event.Value][]predID),
-		scan: make(map[predID]subscription.Predicate),
-	}
+	return &attrIndex{eq: make(map[event.Value][]predID)}
 }
 
 // canonicalValue mirrors selectivity.canonical: numerically equal values
@@ -52,38 +52,24 @@ func canonicalValue(v event.Value) event.Value {
 }
 
 func (ai *attrIndex) add(id predID, p subscription.Predicate) {
-	switch p.Op {
-	case subscription.OpEq:
+	num, str := ai.thresholds(id, p)
+	switch {
+	case p.Op == subscription.OpEq:
 		key := canonicalValue(p.Value)
 		ai.eq[key] = append(ai.eq[key], id)
-	case subscription.OpLt, subscription.OpLe:
-		if f, ok := p.Value.Numeric(); ok {
-			ai.numLess.add(threshold{val: f, strict: p.Op == subscription.OpLt, id: id})
-			return
-		}
-		if p.Value.Kind() == event.KindString {
-			ai.strLess.add(strThreshold{val: p.Value.AsString(), strict: p.Op == subscription.OpLt, id: id})
-			return
-		}
-		ai.scan[id] = p
-	case subscription.OpGt, subscription.OpGe:
-		if f, ok := p.Value.Numeric(); ok {
-			ai.numGreater.add(threshold{val: f, strict: p.Op == subscription.OpGt, id: id})
-			return
-		}
-		if p.Value.Kind() == event.KindString {
-			ai.strGreater.add(strThreshold{val: p.Value.AsString(), strict: p.Op == subscription.OpGt, id: id})
-			return
-		}
-		ai.scan[id] = p
+	case num.set != nil:
+		num.set.add(num.t)
+	case str.set != nil:
+		str.set.add(str.t)
 	default:
-		ai.scan[id] = p
+		ai.scan.add(id, p)
 	}
 }
 
 func (ai *attrIndex) remove(id predID, p subscription.Predicate) {
-	switch p.Op {
-	case subscription.OpEq:
+	num, str := ai.thresholds(id, p)
+	switch {
+	case p.Op == subscription.OpEq:
 		key := canonicalValue(p.Value)
 		ids := ai.eq[key]
 		for i, x := range ids {
@@ -96,32 +82,49 @@ func (ai *attrIndex) remove(id predID, p subscription.Predicate) {
 		if len(ai.eq[key]) == 0 {
 			delete(ai.eq, key)
 		}
-	case subscription.OpLt, subscription.OpLe:
-		if _, ok := p.Value.Numeric(); ok {
-			ai.numLess.remove(id)
-			return
-		}
-		if p.Value.Kind() == event.KindString {
-			ai.strLess.remove(id)
-			return
-		}
-		delete(ai.scan, id)
-	case subscription.OpGt, subscription.OpGe:
-		if _, ok := p.Value.Numeric(); ok {
-			ai.numGreater.remove(id)
-			return
-		}
-		if p.Value.Kind() == event.KindString {
-			ai.strGreater.remove(id)
-			return
-		}
-		delete(ai.scan, id)
+	case num.set != nil:
+		num.set.remove(num.t)
+	case str.set != nil:
+		str.set.remove(str.t)
 	default:
-		delete(ai.scan, id)
+		ai.scan.remove(id)
 	}
 }
 
+// placed is a threshold together with the set it belongs in.
+type placed[T cmp.Ordered] struct {
+	set *thresholdSet[T]
+	t   threshold[T]
+}
+
+// thresholds places a range predicate (<, <=, >, >=) with a numeric or a
+// string literal in its threshold set. At most one result is set, and none
+// for any other predicate. A NaN literal orders against nothing, so it is
+// not placed either: the scan list evaluates it exactly as Node.Matches
+// does.
+func (ai *attrIndex) thresholds(id predID, p subscription.Predicate) (num placed[float64], str placed[string]) {
+	less := p.Op == subscription.OpLt || p.Op == subscription.OpLe
+	if !less && p.Op != subscription.OpGt && p.Op != subscription.OpGe {
+		return num, str
+	}
+	strict := p.Op == subscription.OpLt || p.Op == subscription.OpGt
+	if f, ok := p.Value.Numeric(); ok && !math.IsNaN(f) {
+		num = placed[float64]{set: &ai.numGreater, t: threshold[float64]{val: f, strict: strict, id: id}}
+		if less {
+			num.set = &ai.numLess
+		}
+	} else if p.Value.Kind() == event.KindString {
+		str = placed[string]{set: &ai.strGreater, t: threshold[string]{val: p.Value.AsString(), strict: strict, id: id}}
+		if less {
+			str.set = &ai.strLess
+		}
+	}
+	return num, str
+}
+
 // collect invokes mark for every indexed predicate fulfilled by value v.
+//
+//dimlint:hotpath
 func (ai *attrIndex) collect(v event.Value, mark func(predID)) {
 	if ids := ai.eq[canonicalValue(v)]; len(ids) > 0 {
 		for _, id := range ids {
@@ -137,208 +140,146 @@ func (ai *attrIndex) collect(v event.Value, mark func(predID)) {
 		ai.strLess.collectGE(s, mark)
 		ai.strGreater.collectLE(s, mark)
 	}
-	for id, p := range ai.scan {
-		if p.EvalValue(v) {
-			mark(id)
+	for _, lp := range ai.scan.items {
+		if lp.pred.EvalValue(v) {
+			mark(lp.id)
 		}
 	}
 }
 
+// predList is a set of predicates kept as a dense slice, which is what the
+// hot path iterates (never a map: its walk is randomized and cache-hostile),
+// plus each predicate's position so removal is an O(1) swap.
+type predList struct {
+	items []listedPred
+	pos   map[predID]int
+}
+
+type listedPred struct {
+	id   predID
+	pred subscription.Predicate
+}
+
+func (l *predList) add(id predID, p subscription.Predicate) {
+	if l.pos == nil {
+		l.pos = make(map[predID]int)
+	}
+	l.pos[id] = len(l.items)
+	l.items = append(l.items, listedPred{id: id, pred: p})
+}
+
+func (l *predList) remove(id predID) {
+	i := l.pos[id]
+	last := len(l.items) - 1
+	moved := l.items[last]
+	l.items[i] = moved
+	l.pos[moved.id] = i
+	l.items[last] = listedPred{}
+	l.items = l.items[:last]
+	delete(l.pos, id)
+}
+
 // threshold is one range predicate boundary. For a "less" set the predicate
 // is x < val (strict) or x <= val; for a "greater" set x > val or x >= val.
-type threshold struct {
-	val    float64
+// Numeric ranges compare as float64, string ranges lexicographically.
+type threshold[T cmp.Ordered] struct {
+	val    T
 	strict bool
 	id     predID
 }
 
 // thresholdSet is a lazily sorted multiset of thresholds with tombstoned
-// removal. Sorting happens at most once per mutation batch: mutations (add,
-// remove, compact) require the engine's exclusive access and mark the set
-// dirty; the first query after a mutation batch sorts. The dirty flag is
-// atomic and the sort itself is serialized, so concurrent collect calls —
+// removal. Mutations (add, remove) require the engine's exclusive access
+// and only record what changed; the first query after a mutation batch
+// brings the items to their clean state — sorted, tombstoned items gone —
+// so the query loops never consult the tombstones. The dirty flag is atomic
+// and that clean-up is serialized by sortMu, so concurrent collect calls —
 // the engine's shared read path — race neither on the flag nor on the
-// in-place sort.
-type thresholdSet struct {
-	items  []threshold
-	dead   map[predID]struct{}
-	dirty  atomic.Bool
-	sortMu sync.Mutex
+// items.
+type thresholdSet[T cmp.Ordered] struct {
+	items    []threshold[T]
+	dead     []threshold[T] // removed, each still in items until ensure
+	unsorted bool           // items were appended since the last sort
+	dirty    atomic.Bool    // dead or unsorted: the next query cleans up
+	sortMu   sync.Mutex
 }
 
-func (ts *thresholdSet) add(t threshold) {
-	if _, wasDead := ts.dead[t.id]; wasDead {
-		// A recycled predID may carry a different threshold than the
-		// tombstoned item; drop the stale item before re-adding.
-		ts.compact()
-	}
+func (ts *thresholdSet[T]) add(t threshold[T]) {
 	ts.items = append(ts.items, t)
+	ts.unsorted = true
 	ts.dirty.Store(true)
 }
 
-func (ts *thresholdSet) remove(id predID) {
-	if ts.dead == nil {
-		ts.dead = make(map[predID]struct{})
-	}
-	ts.dead[id] = struct{}{}
-	if len(ts.dead) > len(ts.items)/2 {
-		ts.compact()
-	}
-}
-
-func (ts *thresholdSet) compact() {
-	live := ts.items[:0]
-	for _, t := range ts.items {
-		if _, d := ts.dead[t.id]; !d {
-			live = append(live, t)
-		}
-	}
-	ts.items = live
-	ts.dead = nil
+// remove tombstones t, which must be in the set. A recycled predID may be
+// re-added with another threshold before the next query; the tombstone
+// names the whole threshold, so it drops the stale item only.
+func (ts *thresholdSet[T]) remove(t threshold[T]) {
+	ts.dead = append(ts.dead, t)
 	ts.dirty.Store(true)
 }
 
-func (ts *thresholdSet) ensure() {
+// ensure brings the items to their clean state before a query reads them.
+// Dropping tombstones keeps the order, so removals alone never re-sort.
+func (ts *thresholdSet[T]) ensure() {
 	if !ts.dirty.Load() {
 		return
 	}
 	ts.sortMu.Lock()
 	if ts.dirty.Load() {
-		sort.Slice(ts.items, func(i, j int) bool { return ts.items[i].val < ts.items[j].val })
+		if ts.unsorted {
+			slices.SortFunc(ts.items, func(a, b threshold[T]) int { return cmp.Compare(a.val, b.val) })
+			ts.unsorted = false
+		}
+		if len(ts.dead) > 0 {
+			ts.drop()
+		}
 		ts.dirty.Store(false)
 	}
 	ts.sortMu.Unlock()
 }
 
+// drop deletes one item per tombstone from the sorted items. Each is found
+// by binary search on its value, so the clean-up costs one pass over the
+// items however many tombstones there are, and no lookup per item.
+func (ts *thresholdSet[T]) drop() {
+	items := ts.items
+	for _, d := range ts.dead {
+		i, _ := slices.BinarySearchFunc(items, d.val, func(t threshold[T], v T) int { return cmp.Compare(t.val, v) })
+		for items[i] != d {
+			i++
+		}
+		items[i].id = -1
+	}
+	ts.items = slices.DeleteFunc(items, func(t threshold[T]) bool { return t.id < 0 })
+	ts.dead = ts.dead[:0]
+}
+
 // collectGE marks predicates in a "less" set fulfilled by event value x:
 // those with threshold > x, plus non-strict ones with threshold == x.
-func (ts *thresholdSet) collectGE(x float64, mark func(predID)) {
-	if len(ts.items) == 0 {
-		return
-	}
+//
+//dimlint:hotpath
+func (ts *thresholdSet[T]) collectGE(x T, mark func(predID)) {
 	ts.ensure()
-	i := sort.Search(len(ts.items), func(i int) bool { return ts.items[i].val >= x })
-	for ; i < len(ts.items); i++ {
-		t := ts.items[i]
-		if t.val == x && t.strict {
-			continue // x < x is false
+	items := ts.items
+	i := sort.Search(len(items), func(i int) bool { return items[i].val >= x })
+	for ; i < len(items); i++ {
+		if t := items[i]; t.val != x || !t.strict { // x < x is false
+			mark(t.id)
 		}
-		if _, d := ts.dead[t.id]; d {
-			continue
-		}
-		mark(t.id)
 	}
 }
 
 // collectLE marks predicates in a "greater" set fulfilled by event value x:
 // those with threshold < x, plus non-strict ones with threshold == x.
-func (ts *thresholdSet) collectLE(x float64, mark func(predID)) {
-	if len(ts.items) == 0 {
-		return
-	}
+//
+//dimlint:hotpath
+func (ts *thresholdSet[T]) collectLE(x T, mark func(predID)) {
 	ts.ensure()
-	end := sort.Search(len(ts.items), func(i int) bool { return ts.items[i].val > x })
+	items := ts.items
+	end := sort.Search(len(items), func(i int) bool { return items[i].val > x })
 	for i := 0; i < end; i++ {
-		t := ts.items[i]
-		if t.val == x && t.strict {
-			continue // x > x is false
+		if t := items[i]; t.val != x || !t.strict { // x > x is false
+			mark(t.id)
 		}
-		if _, d := ts.dead[t.id]; d {
-			continue
-		}
-		mark(t.id)
-	}
-}
-
-// strThreshold / strThresholdSet mirror the numeric structures for string
-// ranges (lexicographic order).
-type strThreshold struct {
-	val    string
-	strict bool
-	id     predID
-}
-
-type strThresholdSet struct {
-	items  []strThreshold
-	dead   map[predID]struct{}
-	dirty  atomic.Bool
-	sortMu sync.Mutex
-}
-
-func (ts *strThresholdSet) add(t strThreshold) {
-	if _, wasDead := ts.dead[t.id]; wasDead {
-		ts.compact() // see thresholdSet.add
-	}
-	ts.items = append(ts.items, t)
-	ts.dirty.Store(true)
-}
-
-func (ts *strThresholdSet) remove(id predID) {
-	if ts.dead == nil {
-		ts.dead = make(map[predID]struct{})
-	}
-	ts.dead[id] = struct{}{}
-	if len(ts.dead) > len(ts.items)/2 {
-		ts.compact()
-	}
-}
-
-func (ts *strThresholdSet) compact() {
-	live := ts.items[:0]
-	for _, t := range ts.items {
-		if _, d := ts.dead[t.id]; !d {
-			live = append(live, t)
-		}
-	}
-	ts.items = live
-	ts.dead = nil
-	ts.dirty.Store(true)
-}
-
-func (ts *strThresholdSet) ensure() {
-	if !ts.dirty.Load() {
-		return
-	}
-	ts.sortMu.Lock()
-	if ts.dirty.Load() {
-		sort.Slice(ts.items, func(i, j int) bool { return ts.items[i].val < ts.items[j].val })
-		ts.dirty.Store(false)
-	}
-	ts.sortMu.Unlock()
-}
-
-func (ts *strThresholdSet) collectGE(x string, mark func(predID)) {
-	if len(ts.items) == 0 {
-		return
-	}
-	ts.ensure()
-	i := sort.Search(len(ts.items), func(i int) bool { return ts.items[i].val >= x })
-	for ; i < len(ts.items); i++ {
-		t := ts.items[i]
-		if t.val == x && t.strict {
-			continue
-		}
-		if _, d := ts.dead[t.id]; d {
-			continue
-		}
-		mark(t.id)
-	}
-}
-
-func (ts *strThresholdSet) collectLE(x string, mark func(predID)) {
-	if len(ts.items) == 0 {
-		return
-	}
-	ts.ensure()
-	end := sort.Search(len(ts.items), func(i int) bool { return ts.items[i].val > x })
-	for i := 0; i < end; i++ {
-		t := ts.items[i]
-		if t.val == x && t.strict {
-			continue
-		}
-		if _, d := ts.dead[t.id]; d {
-			continue
-		}
-		mark(t.id)
 	}
 }

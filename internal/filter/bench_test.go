@@ -6,12 +6,16 @@ import (
 
 	"dimprune/internal/auction"
 	"dimprune/internal/event"
+	_ "dimprune/internal/sensornet"
+	_ "dimprune/internal/ticker"
+	"dimprune/internal/workload"
 )
 
-// benchEngine registers n auction subscriptions and returns events to match.
-func benchEngine(b *testing.B, n int) (*Engine, []*event.Message) {
+// benchEngine registers n subscriptions of the named workload and returns
+// events to match.
+func benchEngine(b *testing.B, name string, n int) (*Engine, []*event.Message) {
 	b.Helper()
-	gen, err := auction.NewGenerator(auction.DefaultConfig())
+	gen, err := workload.New(name, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -28,18 +32,28 @@ func benchEngine(b *testing.B, n int) (*Engine, []*event.Message) {
 	return e, gen.Events(1, 2048)
 }
 
-func BenchmarkMatch1k(b *testing.B)  { benchMatch(b, 1000) }
-func BenchmarkMatch10k(b *testing.B) { benchMatch(b, 10000) }
-func BenchmarkMatch50k(b *testing.B) { benchMatch(b, 50000) }
-
-func benchMatch(b *testing.B, subs int) {
-	e, events := benchEngine(b, subs)
-	b.ResetTimer()
-	matches := 0
-	for i := 0; i < b.N; i++ {
-		matches += e.MatchCount(events[i%len(events)])
+// BenchmarkMatch reports, per workload and table size, the match time per
+// event, the matches per event, and the share of the table on the
+// clustered path — the property the clustering gain depends on.
+func BenchmarkMatch(b *testing.B) {
+	for _, name := range []string{"auction", "ticker", "sensornet"} {
+		for _, subs := range []int{1000, 20000} {
+			b.Run(fmt.Sprintf("%s/subs=%d", name, subs), func(b *testing.B) {
+				e, events := benchEngine(b, name, subs)
+				clustered := 0
+				for _, c := range e.clusters {
+					clustered += len(c)
+				}
+				b.ResetTimer()
+				matches := 0
+				for i := 0; i < b.N; i++ {
+					matches += e.MatchCount(events[i%len(events)])
+				}
+				b.ReportMetric(float64(matches)/float64(b.N), "matches/event")
+				b.ReportMetric(100*float64(clustered)/float64(subs), "clustered%")
+			})
+		}
 	}
-	b.ReportMetric(float64(matches)/float64(b.N), "matches/event")
 }
 
 func BenchmarkRegisterUnregister(b *testing.B) {
@@ -66,8 +80,7 @@ func BenchmarkRegisterUnregister(b *testing.B) {
 }
 
 func BenchmarkUpdateAfterPrune(b *testing.B) {
-	e, _ := benchEngine(b, 5000)
-	gen, _ := auction.NewGenerator(auction.DefaultConfig())
+	e, _ := benchEngine(b, "auction", 5000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		id := uint64(i%5000 + 1)
@@ -79,5 +92,4 @@ func BenchmarkUpdateAfterPrune(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	_ = gen
 }

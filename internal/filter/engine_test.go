@@ -359,15 +359,19 @@ func TestMatchWorkersGate(t *testing.T) {
 		}
 	}
 
-	// The estimate itself: a predicate shared by n subscriptions counts n
-	// credits; an unfulfilled predicate counts nothing.
+	// The estimate itself: a predicate shared by n counting-path
+	// subscriptions counts n credits; an unfulfilled predicate and a
+	// clustered occurrence count nothing.
 	shared := NewSharded(16, 8)
 	for id := uint64(1); id <= 100; id++ {
-		if err := shared.Register(mustSub(t, id, `x = 1`)); err != nil {
+		if err := shared.Register(mustSub(t, id, `x >= 1`)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := shared.Register(mustSub(t, 101, `y = 2`)); err != nil {
+	if err := shared.Register(mustSub(t, 101, `y >= 2`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := shared.Register(mustSub(t, 102, `x = 1 and x >= 1`)); err != nil {
 		t.Fatal(err)
 	}
 	sc := shared.getScratch()
@@ -380,7 +384,7 @@ func TestMatchWorkersGate(t *testing.T) {
 		})
 	}
 	if got := shared.matchWork(sc); got != 100 {
-		t.Errorf("matchWork over x=1 = %d credits, want 100 (y's predicate unfulfilled)", got)
+		t.Errorf("matchWork over x=1 = %d credits, want 100 (y unfulfilled, entry 102 clustered)", got)
 	}
 	shared.scratch.Put(sc)
 }
@@ -403,7 +407,7 @@ func TestMatchParallelAgreesWithSerialAtLowWork(t *testing.T) {
 		}
 	}
 	for v := int64(0); v < 20; v++ {
-		m := event.Build(uint64(v + 1)).Int("x", v).Msg()
+		m := event.Build(uint64(v+1)).Int("x", v).Msg()
 		a, b := matchIDs(serial, m), matchIDs(parallel, m)
 		if !equalIDs(a, b) {
 			t.Fatalf("x=%d: serial %v != parallel %v", v, a, b)

@@ -37,7 +37,12 @@ func randomPredicate(r *dist.RNG) subscription.Predicate {
 	return p
 }
 
+// randomTree returns a random NNF tree. One subtree in five is an
+// equality-only conjunction, the shape the engine clusters.
 func randomTree(r *dist.RNG, maxDepth int) *subscription.Node {
+	if r.Bool(0.2) {
+		return eqConjunction(r)
+	}
 	if maxDepth <= 0 || r.Bool(0.4) {
 		return subscription.Leaf(randomPredicate(r))
 	}
@@ -51,6 +56,28 @@ func randomTree(r *dist.RNG, maxDepth int) *subscription.Node {
 		children[i] = randomTree(r, maxDepth-1)
 	}
 	return &subscription.Node{Kind: kind, Children: children}
+}
+
+// eqConjunction returns an AND of one to four equality leaves over a small
+// value domain, so that random messages fulfil them, with a negated leaf or
+// a repeated leaf now and then; a single leaf stands alone.
+func eqConjunction(r *dist.RNG) *subscription.Node {
+	n := r.IntRange(1, 4)
+	children := make([]*subscription.Node, 0, n+1)
+	for i := 0; i < n; i++ {
+		p := subscription.Pred(testAttrs[r.Intn(len(testAttrs))], subscription.OpEq, event.Int(int64(r.Intn(3))))
+		if r.Bool(0.15) {
+			p = p.Negate()
+		}
+		children = append(children, subscription.Leaf(p))
+	}
+	if r.Bool(0.25) {
+		children = append(children, subscription.Leaf(children[r.Intn(n)].Pred))
+	}
+	if len(children) == 1 {
+		return children[0]
+	}
+	return subscription.And(children...)
 }
 
 func randomMessage(r *dist.RNG, id uint64) *event.Message {
