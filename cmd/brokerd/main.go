@@ -70,22 +70,20 @@ func main() {
 func run(args []string, stop <-chan os.Signal) error {
 	fs := flag.NewFlagSet("brokerd", flag.ContinueOnError)
 	var (
-		id           = fs.String("id", "broker", "broker name for logs")
-		listen       = fs.String("listen", "", "address for neighbor-broker links (empty: none)")
-		clients      = fs.String("clients", "", "address for client sessions (empty: none)")
-		peers        = fs.String("peers", "", "comma-separated neighbor addresses to attach as raw links (legacy: no handshake, no reconnect)")
-		dimension    = fs.String("dimension", "sel", "pruning dimension: sel, eff, mem")
-		pruneEvery   = fs.Duration("prune-every", 0, "interval between pruning batches (0: never prune)")
-		pruneBatch   = fs.Int("prune-batch", 100, "prunings per batch")
-		statsEvery   = fs.Duration("stats-every", time.Minute, "interval between stats log lines (0: never)")
-		snapshot     = fs.String("snapshot", "", "routing-table snapshot file: loaded on start if present, written on shutdown")
-		matchWorkers = fs.Int("match-workers", 0, "goroutines one match fans out across (0: GOMAXPROCS, 1: serial)")
-		matchShards  = fs.Int("match-shards", 0, "subscription-table shards (0: auto from match workers)")
-		covering     = fs.Bool("covering", true, "covering forest on the control plane (off = forward every subscription to every peer)")
-		walDir       = fs.String("wal-dir", "", "event-log directory for durable subscriptions (empty: durables disabled)")
-		walFsync     = fs.Bool("wal-fsync", false, "fsync each event-log append (stronger crash durability, much slower)")
-		fleetServe   = fs.String("fleet-serve", "", "address to serve this broker as a fleet shard (empty: not a shard)")
-		fleetAddrs   = fs.String("fleet", "", "comma-separated shard addresses to coordinate a fleet over (coordinator mode)")
+		id         = fs.String("id", "broker", "broker name for logs")
+		listen     = fs.String("listen", "", "address for neighbor-broker links (empty: none)")
+		clients    = fs.String("clients", "", "address for client sessions (empty: none)")
+		peers      = fs.String("peers", "", "comma-separated neighbor addresses to attach as raw links (legacy: no handshake, no reconnect)")
+		dimension  = fs.String("dimension", "sel", "pruning dimension: sel, eff, mem")
+		pruneEvery = fs.Duration("prune-every", 0, "interval between pruning batches (0: never prune)")
+		pruneBatch = fs.Int("prune-batch", 100, "prunings per batch")
+		statsEvery = fs.Duration("stats-every", time.Minute, "interval between stats log lines (0: never)")
+		snapshot   = fs.String("snapshot", "", "routing-table snapshot file: loaded on start if present, written on shutdown")
+		covering   = fs.Bool("covering", true, "covering forest on the control plane (off = forward every subscription to every peer)")
+		walDir     = fs.String("wal-dir", "", "event-log directory for durable subscriptions (empty: durables disabled)")
+		walFsync   = fs.Bool("wal-fsync", false, "fsync each event-log append (stronger crash durability, much slower)")
+		fleetServe = fs.String("fleet-serve", "", "address to serve this broker as a fleet shard (empty: not a shard)")
+		fleetAddrs = fs.String("fleet", "", "comma-separated shard addresses to coordinate a fleet over (coordinator mode)")
 	)
 	var peerAddrs addrList
 	fs.Var(&peerAddrs, "peer", "neighbor address to dial as a managed peer link (handshake + reconnect; repeatable)")
@@ -135,22 +133,18 @@ func run(args []string, stop <-chan os.Signal) error {
 				st.Publishes, st.ShardPublishes, st.ShardsSkipped, st.Deduped, st.Moved)
 		}
 	} else {
-		// Workers and shards auto-size from GOMAXPROCS when left at 0.
 		var err error
 		b, err = broker.New(broker.Config{
 			ID:              *id,
 			Dimension:       dim,
 			ObserveEvents:   true,
-			MatchWorkers:    *matchWorkers,
-			MatchShards:     *matchShards,
 			DisableCovering: !*covering,
 		})
 		if err != nil {
 			return err
 		}
 		router = b
-		mode = fmt.Sprintf("running (dimension %s, match workers %d, shards %d, covering %v; 0 = auto)",
-			dim, *matchWorkers, *matchShards, *covering)
+		mode = fmt.Sprintf("running (dimension %s, covering %v)", dim, *covering)
 		logStats = func() {
 			st := srv.Stats()
 			logger.Printf("stats: local=%d remote=%d assoc=%d preds=%d %s",

@@ -19,7 +19,7 @@ import (
 // always-matching handle subscriber.
 func benchHandleEmbedded(b *testing.B, nSubs int, opts ...SubOption) (*Embedded, *Handle, []*Message) {
 	b.Helper()
-	ps, events := benchEmbedded(b, "auction", 1, 1, nSubs, 4096)
+	ps, events := benchEmbedded(b, "auction", nSubs, 4096)
 	// Every auction event carries a title; Exists matches them all.
 	h, err := ps.SubscribeTree(Exists("title"), opts...)
 	if err != nil {
@@ -72,7 +72,7 @@ func BenchmarkPublishSlowSubscriber(b *testing.B) {
 func BenchmarkPublishHandleFanout(b *testing.B) {
 	for _, nHandles := range []int{1, 8, 64} {
 		b.Run(fmt.Sprintf("handles=%d", nHandles), func(b *testing.B) {
-			ps, events := benchEmbedded(b, "auction", 1, 1, 0, 4096)
+			ps, events := benchEmbedded(b, "auction", 0, 4096)
 			defer ps.Close()
 			done := make(chan struct{}, nHandles)
 			for i := 0; i < nHandles; i++ {

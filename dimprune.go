@@ -11,14 +11,11 @@
 // driven by one of three dimensions — network load, memory usage, or
 // throughput — each with its own heuristic (the paper's contribution).
 //
-// The event hot path is parallel end to end. Publishing is the data plane:
-// any number of goroutines may publish at once, each event matched against
-// the routing table under a shared lock with per-call scratch state, and —
-// for large tables — a single match can additionally fan its counting
-// phase out across a worker pool over a sharded subscription table
-// (EmbeddedConfig.MatchWorkers / Shards, BrokerConfig.MatchWorkers /
-// MatchShards). Subscribing, unsubscribing, pruning, and snapshot restore
-// are the control plane and run exclusively.
+// The event hot path is concurrent end to end. Publishing is the data
+// plane: any number of goroutines may publish at once, each event matched
+// on its publishing goroutine against the routing table under a shared
+// lock with per-call scratch state. Subscribing, unsubscribing, pruning,
+// and snapshot restore are the control plane and run exclusively.
 //
 // Delivery is its own plane: every subscription owns a bounded queue
 // between the match path and its consumer, so a consumer that stops
@@ -57,7 +54,7 @@
 //   - Networked: TCP broker servers and clients (NewServer, DialBroker),
 //     run as a concurrent decode → match → per-peer-outbox pipeline; client
 //     sessions mirror the handle API (Client.SubscribeExpr → ClientHandle).
-//     See cmd/brokerd for the daemon with -match-workers / -match-shards.
+//     See cmd/brokerd for the daemon.
 //   - Workloads: named scenario generators (NewWorkloadGenerator,
 //     WorkloadNames) producing deterministic seeded event and subscription
 //     streams — the paper's auction plus stock-ticker and fleet-telemetry

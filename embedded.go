@@ -19,17 +19,6 @@ type EmbeddedConfig struct {
 	// LearnFromEvents updates the selectivity model with every published
 	// event (default true), keeping Δ≈sel ratings current.
 	DisableLearning bool
-	// Shards partitions the matching engine's subscription table so one
-	// match can fan out across workers. 0 auto-sizes from the worker
-	// count (one shard when matching is serial, a small multiple of
-	// MatchWorkers otherwise).
-	Shards int
-	// MatchWorkers bounds the goroutines one Publish fans its matching out
-	// across (capped at Shards). 0 auto-sizes from GOMAXPROCS; 1 matches
-	// on the publishing goroutine. Independent of this setting, Publish
-	// may be called from many goroutines at once and the calls run
-	// concurrently.
-	MatchWorkers int
 	// WALDir enables the durable plane: published events are logged to a
 	// segmented write-ahead log in this directory whenever durable
 	// subscriptions (WithDurable) are registered, and durable cursors
@@ -68,9 +57,9 @@ type Notification struct {
 // Subscriptions are registered with SubscribeExpr/SubscribeTree and owned
 // by the returned Handle, which carries the subscription's delivery queue,
 // backpressure policy, and lifecycle (see Handle). The engine is safe for
-// concurrent use: publishes run concurrently with each other (and, with
-// MatchWorkers set, each one fans out internally), subscription changes
-// and pruning serialize against the routing table inside the broker, and
+// concurrent use: publishes run concurrently with each other, each
+// matching on its publishing goroutine; subscription changes and pruning
+// serialize against the routing table inside the broker; and
 // delivery decouples through per-subscription queues so one slow consumer
 // never stalls the match path. Close retires the engine: queued
 // notifications drain and further operations return ErrClosed.
@@ -114,8 +103,6 @@ func NewEmbedded(cfg EmbeddedConfig) (*Embedded, error) {
 		Dimension:     cfg.Dimension,
 		PruneOptions:  cfg.PruneOptions,
 		ObserveEvents: !cfg.DisableLearning,
-		MatchShards:   cfg.Shards,
-		MatchWorkers:  cfg.MatchWorkers,
 		// The covering plane decides what to advertise to peers; the
 		// embedded engine has none, so skip the forest maintenance.
 		DisableCovering: true,

@@ -9,11 +9,12 @@ import (
 	"dimprune/internal/auction"
 )
 
-// TestEmbeddedConcurrentPublish drives the public API from many goroutines
-// across worker/shard layouts and checks per-event match counts against a
-// serial reference instance, interleaved with pruning. After pruning the
-// layouts may legitimately over-match (supersets) — the test then only
-// requires no under-matching versus the reference pruned identically.
+// TestEmbeddedConcurrentPublish drives the public API from eight
+// publishing goroutines and checks per-event match counts against a
+// reference instance published from one goroutine, interleaved with
+// pruning. After pruning the two instances may legitimately differ
+// (supersets) — the test then only requires no under-matching versus the
+// reference pruned identically.
 func TestEmbeddedConcurrentPublish(t *testing.T) {
 	gen, err := auction.NewGenerator(auction.DefaultConfig())
 	if err != nil {
@@ -22,17 +23,15 @@ func TestEmbeddedConcurrentPublish(t *testing.T) {
 	const nSubs = 500
 	const nEvents = 400
 
-	newInstance := func(workers, shards int) *Embedded {
-		ps, err := NewEmbedded(EmbeddedConfig{
-			MatchWorkers: workers, Shards: shards, DisableLearning: true,
-		})
+	newInstance := func() *Embedded {
+		ps, err := NewEmbedded(EmbeddedConfig{DisableLearning: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return ps
 	}
-	serial := newInstance(1, 1)
-	parallel := newInstance(4, 8)
+	serial := newInstance()
+	concurrent := newInstance()
 
 	subGen, err := auction.NewGenerator(auction.DefaultConfig())
 	if err != nil {
@@ -44,7 +43,7 @@ func TestEmbeddedConcurrentPublish(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Match counts are compared, not deliveries: the queues shed.
-		for _, ps := range []*Embedded{serial, parallel} {
+		for _, ps := range []*Embedded{serial, concurrent} {
 			if _, err := ps.SubscribeTree(s.Root, WithSubscriber(s.Subscriber),
 				WithBuffer(1), WithPolicy(DropNewest)); err != nil {
 				t.Fatal(err)
@@ -69,7 +68,7 @@ func TestEmbeddedConcurrentPublish(t *testing.T) {
 			go func(g int) {
 				defer wg.Done()
 				for i := g; i < nEvents; i += 8 {
-					n, err := parallel.Publish(events[i])
+					n, err := concurrent.Publish(events[i])
 					if err != nil {
 						t.Error(err)
 						return
@@ -81,25 +80,25 @@ func TestEmbeddedConcurrentPublish(t *testing.T) {
 		wg.Wait()
 		for i := range want {
 			if exact && int(got[i]) != want[i] {
-				t.Fatalf("event %d: parallel matched %d, serial %d", i, got[i], want[i])
+				t.Fatalf("event %d: concurrent publish matched %d, serial %d", i, got[i], want[i])
 			}
 			if !exact && int(got[i]) < want[i] {
-				t.Fatalf("event %d: pruned parallel under-matched: %d < %d", i, got[i], want[i])
+				t.Fatalf("event %d: pruned concurrent instance under-matched: %d < %d", i, got[i], want[i])
 			}
 		}
 	}
 
-	check(true) // unpruned: layouts must agree exactly
+	check(true) // unpruned: both instances must agree exactly
 
 	// Prune both; pruning only generalizes, so whatever steps each instance
-	// chose, the parallel instance must never under-match its serial twin
+	// chose, the concurrent instance must never under-match its serial twin
 	// (the twin was pruned at least as hard in step count).
-	ns, np := serial.Prune(200), parallel.Prune(200)
+	ns, np := serial.Prune(200), concurrent.Prune(200)
 	if ns == 0 || np == 0 {
 		t.Fatal("pruning performed no steps; superset phase is vacuous")
 	}
 	check(false)
-	if st := parallel.Stats(); st.Counters.EventsFiltered == 0 {
+	if st := concurrent.Stats(); st.Counters.EventsFiltered == 0 {
 		t.Fatal("stats lost the filtered-event count")
 	}
 }

@@ -4,10 +4,9 @@ package dimprune
 // measured by the CI fleet job). One publishing goroutine drives a
 // coordinator over 1, 2, or 4 in-process shards loaded with each
 // registered workload: events/sec at shards=4 versus shards=1 is the
-// acceptance ratio. The recorded local point comes from a 1-CPU container
-// where shard parallelism cannot show wall-clock gains — the CI
-// GOMAXPROCS matrix is the multi-core venue, same as BENCH_5's worker
-// sweep.
+// acceptance ratio. The recorded point comes from one scheduler thread,
+// where shard parallelism cannot show wall-clock gains; only the
+// skipped-shard fraction can.
 
 import (
 	"fmt"

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
@@ -14,9 +13,7 @@ import (
 //   - be stored into a field, map, slice element, global, or channel,
 //   - be returned by a function that is not itself a //dimlint:pooled
 //     accessor,
-//   - be captured by a goroutine that is not provably joined before the
-//     function returns (a WaitGroup.Wait after the go statement counts as
-//     a join — the engine's sharded match fan-out), or
+//   - be captured by or passed to a goroutine, or
 //   - be used after it was Put back.
 //
 // Passing a pooled value to an ordinary call is fine — the callee returns
@@ -26,7 +23,7 @@ import (
 var Poolescape = &Analyzer{
 	Name: "poolescape",
 	Doc: "check that pooled buffers never escape their pool window: no stores to " +
-		"fields/globals, no returns from non-accessors, no unjoined goroutine captures, no use after Put",
+		"fields/globals, no returns from non-accessors, no goroutine captures, no use after Put",
 	Run: runPoolescape,
 }
 
@@ -236,10 +233,8 @@ func (c *poolescapeChecker) checkStoreTarget(lhs ast.Expr, rhs ast.Expr) {
 	_ = rhs
 }
 
-// checkGoCapture flags goroutines that capture pooled variables unless the
-// enclosing function joins goroutines afterwards (a WaitGroup.Wait call
-// positioned after the go statement — the sharded match fan-out pattern,
-// where workers provably finish before the scratch returns to the pool).
+// checkGoCapture flags goroutines that capture or are passed pooled
+// values: the goroutine may still run after the buffer is recycled.
 func (c *poolescapeChecker) checkGoCapture(g *ast.GoStmt) {
 	fl, ok := g.Call.Fun.(*ast.FuncLit)
 	if !ok {
@@ -251,47 +246,15 @@ func (c *poolescapeChecker) checkGoCapture(g *ast.GoStmt) {
 		}
 		return
 	}
-	joined := c.waitFollows(g.Pos())
 	ast.Inspect(fl.Body, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		obj := c.pass.TypesInfo.Uses[id]
-		if obj == nil || !c.pooled[obj] {
-			return true
-		}
-		if !joined {
-			c.pass.Reportf(id.Pos(),
-				"pooled buffer %s captured by a goroutine with no join (WaitGroup.Wait) before the function returns: it may outlive its pool window", id.Name)
+		if id, ok := n.(*ast.Ident); ok {
+			if obj := c.pass.TypesInfo.Uses[id]; obj != nil && c.pooled[obj] {
+				c.pass.Reportf(id.Pos(),
+					"pooled buffer %s captured by a goroutine: it may outlive its pool window", id.Name)
+			}
 		}
 		return true
 	})
-}
-
-// waitFollows reports whether a sync.WaitGroup Wait call appears in the
-// function after pos.
-func (c *poolescapeChecker) waitFollows(pos token.Pos) bool {
-	found := false
-	ast.Inspect(c.body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok || call.Pos() < pos {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || sel.Sel.Name != "Wait" {
-			return true
-		}
-		if IsWaitGroup(c.pass.TypesInfo.Types[sel.X].Type) {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
 }
 
 // checkUseAfterPut flags straight-line uses of a pooled variable after the

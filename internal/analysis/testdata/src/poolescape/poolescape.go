@@ -51,19 +51,19 @@ func badSend(ch chan *[]byte) {
 func badGoroutine() {
 	b := bufPool.Get().(*[]byte)
 	go func() {
-		_ = (*b)[0] // want "poolescape: pooled buffer b captured by a goroutine with no join"
+		_ = (*b)[0] // want "poolescape: pooled buffer b captured by a goroutine"
 	}()
 }
 
-// goodJoinedFanOut is the engine's sharded-match shape: workers borrow the
-// scratch but the WaitGroup joins them before it returns to the pool.
-func goodJoinedFanOut() {
+// badJoinedFanOut: joining the goroutine before the Put earns no
+// exemption; every pooled capture is flagged.
+func badJoinedFanOut() {
 	b := bufPool.Get().(*[]byte)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_ = (*b)[0]
+		_ = (*b)[0] // want "poolescape: pooled buffer b captured by a goroutine"
 	}()
 	wg.Wait()
 	bufPool.Put(b)

@@ -132,17 +132,6 @@ type Config struct {
 	// ObserveEvents updates the selectivity model with every event the
 	// broker filters, so Δ≈sel ratings track the live workload.
 	ObserveEvents bool
-	// MatchShards partitions the filtering table so one match call can fan
-	// out across workers. 0 picks an automatic layout from MatchWorkers
-	// (serial when the worker count resolves to 1); 1 forces the serial
-	// single-shard layout.
-	MatchShards int
-	// MatchWorkers bounds the goroutines one match call fans out across
-	// (capped at MatchShards). 0 sizes from GOMAXPROCS; 1 matches on the
-	// calling goroutine. Concurrent publishes parallelize regardless of
-	// this setting; workers additionally parallelize within a single large
-	// match.
-	MatchWorkers int
 	// DisableCovering turns off the covering forest (default on): without
 	// it every subscription is forwarded to every neighbor, as in the
 	// pre-covering control plane. The differential oracle runs both modes.
@@ -255,7 +244,7 @@ func New(cfg Config) (*Broker, error) {
 	}
 	b := &Broker{
 		id:      cfg.ID,
-		table:   filter.NewSharded(cfg.MatchShards, cfg.MatchWorkers),
+		table:   filter.New(),
 		model:   model,
 		pruner:  pruner,
 		entries: make(map[uint64]*routeEntry),

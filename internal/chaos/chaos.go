@@ -466,6 +466,42 @@ func (h *Harness) BounceEdge(a, b int) {
 	}
 }
 
+// noLink marks an edge endpoint that holds no handshaken link to the other.
+const noLink broker.LinkID = -1
+
+// edgeLinks returns the link each endpoint of edge a-b holds for the
+// other: [0] is a's link to b, [1] is b's link to a, noLink where the
+// endpoint is down or not linked.
+func (h *Harness) edgeLinks(a, b int) [2]broker.LinkID {
+	links := [2]broker.LinkID{noLink, noLink}
+	for k, end := range [2][2]int{{a, b}, {b, a}} {
+		if s := h.Server(end[0]); s != nil {
+			if id, ok := s.PeerLinkIDs()[brokerID(end[1])]; ok {
+				links[k] = id
+			}
+		}
+	}
+	return links
+}
+
+// waitRelinked waits until each endpoint of edge a-b holds a link to the
+// other that is not the one recorded in before. Link IDs are never reused,
+// so this proves the edge went down and came back on both sides.
+func (h *Harness) waitRelinked(a, b int, before [2]broker.LinkID, timeout time.Duration) error {
+	deadline := time.Now().Add(timeout)
+	for {
+		now := h.edgeLinks(a, b)
+		if now[0] != noLink && now[1] != noLink && now[0] != before[0] && now[1] != before[1] {
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("chaos: edge %s-%s not relinked within %v (links %v, before %v)",
+				brokerID(a), brokerID(b), timeout, now, before)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // SetLinkLatency injects a fixed one-way latency on frames broker a sends
 // toward broker b (0 clears it). Applies to the live connection
 // immediately — delayConn reads the current value per send.

@@ -24,9 +24,12 @@ func (h *Harness) Apply(f Fault, during func()) error {
 		during()
 		return h.HealEdge(f.Edge.A, f.Edge.B)
 	case FaultBounce:
+		// Return only once the flap is over on both ends: until then the
+		// fingerprint can still show the old link and pass convergence.
+		before := h.edgeLinks(f.Edge.A, f.Edge.B)
 		h.BounceEdge(f.Edge.A, f.Edge.B)
 		during()
-		return nil
+		return h.waitRelinked(f.Edge.A, f.Edge.B, before, 10*time.Second)
 	case FaultPartition:
 		for _, e := range f.Edges {
 			h.CutEdge(e.A, e.B)

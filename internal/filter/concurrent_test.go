@@ -9,110 +9,14 @@ import (
 	"dimprune/internal/subscription"
 )
 
-// TestShardedMatchesSerial checks that every shard/worker layout produces
-// exactly the serial engine's match sets, across registration, update
-// (pruning's path into the table), and unregistration churn.
-func TestShardedMatchesSerial(t *testing.T) {
-	layouts := []struct{ shards, workers int }{
-		{1, 1}, {2, 2}, {4, 2}, {8, 4}, {16, 8},
-	}
-	r := dist.New(1234)
-
-	serial := New()
-	engines := make([]*Engine, len(layouts))
-	for i, l := range layouts {
-		engines[i] = NewSharded(l.shards, l.workers)
-	}
-	all := append([]*Engine{serial}, engines...)
-
-	nextID := uint64(0)
-	live := []uint64{}
-	registerOne := func() {
-		nextID++
-		s, err := subscription.New(nextID, "s", randomTree(r, 3))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range all {
-			if err := e.Register(s); err != nil {
-				t.Fatal(err)
-			}
-		}
-		live = append(live, nextID)
-	}
-	unregisterOne := func() {
-		if len(live) == 0 {
-			return
-		}
-		i := r.Intn(len(live))
-		id := live[i]
-		live[i] = live[len(live)-1]
-		live = live[:len(live)-1]
-		for _, e := range all {
-			if !e.Unregister(id) {
-				t.Fatalf("engine lost subscription %d", id)
-			}
-		}
-	}
-	updateOne := func() {
-		if len(live) == 0 {
-			return
-		}
-		id := live[r.Intn(len(live))]
-		s, err := subscription.New(id, "s", randomTree(r, 2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range all {
-			if err := e.Update(s); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	check := func(round int) {
-		for ev := 0; ev < 20; ev++ {
-			m := randomMessage(r, uint64(round*1000+ev))
-			want := serial.Match(m, nil)
-			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-			for li, e := range engines {
-				got := e.Match(m, nil)
-				sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
-				if len(got) != len(want) {
-					t.Fatalf("round %d layout %+v: %d matches, serial %d",
-						round, layouts[li], len(got), len(want))
-				}
-				for k := range got {
-					if got[k] != want[k] {
-						t.Fatalf("round %d layout %+v: match set diverges at %d: %d vs %d",
-							round, layouts[li], k, got[k], want[k])
-					}
-				}
-			}
-		}
-	}
-
-	for round := 0; round < 8; round++ {
-		for i := 0; i < 150; i++ {
-			registerOne()
-		}
-		check(round)
-		for i := 0; i < 40; i++ {
-			unregisterOne()
-		}
-		for i := 0; i < 30; i++ {
-			updateOne()
-		}
-		check(round + 100)
-	}
-}
-
-// TestConcurrentMatchers hammers one sharded engine with concurrent match
-// calls (the data plane) interleaved with mutations under an RWMutex (the
+// TestConcurrentMatchers hammers one engine with concurrent match calls
+// (the data plane) interleaved with mutations under an RWMutex (the
 // control plane) — the exact discipline the broker applies — and checks
-// every concurrent result against a serial oracle under the read lock.
+// every concurrent result against a second engine fed the same mutations,
+// under the same read lock.
 func TestConcurrentMatchers(t *testing.T) {
 	r := dist.New(77)
-	e := NewSharded(8, 4)
+	e := New()
 	oracle := New()
 
 	var mu sync.RWMutex // the caller-owned discipline the engine documents

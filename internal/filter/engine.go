@@ -54,49 +54,26 @@
 // indexes, the clusters, and the dense subscription table; they require
 // exclusive access. Match, MatchVisit, and MatchCount only read that shared
 // state — all per-event scratch (the fulfilled-predicate stamps and the
-// per-shard counters) lives in pooled per-call buffers — so any number of
-// match calls may run concurrently with each other, as long as no mutation
-// runs at the same time. Callers enforce the discipline with an RWMutex:
-// matches under RLock, mutations under Lock (see internal/broker).
-//
-// Independently of cross-call concurrency, one match call can fan its
-// counting phase out across a pool of workers: subscriptions are bucketed
-// into shards (dense index mod shard count) and each worker processes a
-// disjoint set of shards with shard-private counters, so the fan-out needs
-// no synchronization beyond a single join. The cluster walk runs on the
-// calling goroutine. NewSharded picks the layout; New() is the serial
-// single-shard engine.
+// subscription counters) lives in pooled per-call buffers — so any number
+// of match calls may run concurrently with each other, as long as no
+// mutation runs at the same time. Callers enforce the discipline with an
+// RWMutex: matches under RLock, mutations under Lock (see internal/broker).
+// Each match call runs entirely on its calling goroutine.
 package filter
 
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 
 	"dimprune/internal/event"
 	"dimprune/internal/subscription"
 )
 
-// matchWorkUnit is the counting work — counter credits, i.e. predicate
-// associations to walk — that justifies one worker goroutine. A goroutine
-// handoff plus its share of the join costs on the order of a microsecond
-// while a single credit is a few nanoseconds, so a worker has to absorb
-// thousands of credits to pay for itself. The fan-out scales with the
-// event's actual work estimate (see matchWork) rather than with static
-// table size, so a workers=8 engine degrades to serial on light events
-// instead of paying an 8-way join for microseconds of counting — which is
-// what used to keep the parallel layout behind serial on sparse workloads.
-const matchWorkUnit = 4096
-
 // Engine filters events against a dynamic set of Boolean subscriptions.
 // Mutations require exclusive access; match calls may run concurrently
 // with each other (see the package comment for the full contract).
 type Engine struct {
-	shards  int // subscription buckets (dense index mod shards)
-	workers int // max goroutines per match call, <= shards
-	procs   int // GOMAXPROCS at construction: fan-out beyond it only adds handoff
-
 	registry registry
 	attrs    map[string]*attrIndex
 
@@ -142,80 +119,25 @@ type subEntry struct {
 }
 
 // matchScratch is the per-call state of one match: epoch-stamped fulfilled
-// predicates plus per-shard counters, touched lists, and result buffers.
-// Scratch is pooled and reused; buffers grow to the engine's current sizes
-// on acquisition and results merge without allocation.
+// predicates plus the counting phase's counters and touched list. Scratch
+// is pooled and reused; buffers grow to the engine's current sizes on
+// acquisition.
 type matchScratch struct {
 	epoch     uint64
 	fulfilled []uint64 // predID -> epoch stamp
 	fullList  []predID // predicates fulfilled this epoch
-	shards    []shardScratch
+	counts    []int32  // dense index -> credit count
+	touched   []int32  // dense indexes with counts > 0 this epoch
 }
 
-// shardScratch is one shard's counting-phase state within one match call.
-// Workers own disjoint shards, so no field needs synchronization; the pad
-// keeps neighboring shards' hot slice headers off each other's cache lines.
-type shardScratch struct {
-	counts  []int32 // local slot (dense index / shards) -> credit count
-	touched []int32 // local slots with counts > 0 this epoch
-	matched []*subscription.Subscription
-
-	_ [56]byte // pad to 128 bytes
-}
-
-// New returns an empty serial engine: one shard, no worker fan-out.
-func New() *Engine { return NewSharded(1, 1) }
-
-// NewSharded returns an empty engine with the given shard and worker
-// layout. Shards partition the subscription table; workers bound the
-// goroutines one match call fans out across (capped at the shard count).
-//
-// Zero means auto-size: workers == 0 resolves to GOMAXPROCS, and
-// shards == 0 picks a layout from the resolved worker count — the serial
-// single-shard engine when workers resolve to 1 (so a serial deployment
-// never pays the sharding tax), twice the workers otherwise (bounded
-// fan-out imbalance without oversharding small tables; the per-event work
-// gate already keeps light matches serial). Negative
-// values are treated as 1; shards are capped at 64 (the occupancy mask
-// width).
-func NewSharded(shards, workers int) *Engine {
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if shards == 0 {
-		if workers == 1 {
-			shards = 1
-		} else {
-			shards = workers * 2
-		}
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > maxShards {
-		shards = maxShards
-	}
-	if workers > shards {
-		workers = shards
-	}
+// New returns an empty engine.
+func New() *Engine {
 	return &Engine{
-		shards:   shards,
-		workers:  workers,
-		procs:    runtime.GOMAXPROCS(0),
-		registry: newRegistry(shards),
+		registry: newRegistry(),
 		attrs:    make(map[string]*attrIndex),
 		subs:     make(map[uint64]*subEntry),
 	}
 }
-
-// Shards returns the number of subscription shards.
-func (e *Engine) Shards() int { return e.shards }
-
-// Workers returns the maximum worker fan-out per match call.
-func (e *Engine) Workers() int { return e.workers }
 
 // NumSubscriptions returns the number of registered subscriptions.
 func (e *Engine) NumSubscriptions() int { return len(e.subs) }
@@ -414,20 +336,15 @@ func (e *Engine) indexRemove(id predID, p subscription.Predicate) {
 func (e *Engine) getScratch() *matchScratch {
 	sc, _ := e.scratch.Get().(*matchScratch)
 	if sc == nil {
-		sc = &matchScratch{shards: make([]shardScratch, e.shards)}
+		sc = new(matchScratch)
 	}
 	if n := e.registry.capacity(); n > len(sc.fulfilled) {
 		grown := make([]uint64, n+n/2+8)
 		copy(grown, sc.fulfilled)
 		sc.fulfilled = grown
 	}
-	need := (len(e.dense) + e.shards - 1) / e.shards
-	for i := range sc.shards {
-		if ss := &sc.shards[i]; need > len(ss.counts) {
-			grown := make([]int32, need+need/2+8)
-			copy(grown, ss.counts)
-			ss.counts = grown
-		}
+	if n := len(e.dense); n > len(sc.counts) {
+		sc.counts = make([]int32, n+n/2+8)
 	}
 	return sc
 }
@@ -489,111 +406,37 @@ func (e *Engine) MatchVisit(m *event.Message, fn func(*subscription.Subscription
 			}
 		}
 
-		// Counting path, per shard. Workers own disjoint shards; results
-		// merge on the calling goroutine.
-		if nw := e.matchWorkers(e.matchWork(sc)); nw <= 1 {
-			for s := 0; s < e.shards; s++ {
-				e.matchShard(sc, s)
+		// Counting path: credit the slots associated with each fulfilled
+		// predicate, then accept those that reached their pmin gate,
+		// evaluating the tree only when it has an OR. The dense counted
+		// array skips a predicate no counting-path tree holds (on a fully
+		// clustered table, every one) without loading its bucket; the
+		// dense gate array rejects a slot without loading its entry.
+		// Counters are reset on the way out so the scratch returns to its
+		// all-zero pool state.
+		counted, assoc := e.registry.counted, e.registry.assoc
+		for _, id := range sc.fullList {
+			if counted[id] == 0 {
+				continue
 			}
-		} else {
-			var wg sync.WaitGroup
-			wg.Add(nw)
-			for w := 0; w < nw; w++ {
-				go func(w int) {
-					defer wg.Done()
-					for s := w; s < e.shards; s += nw {
-						e.matchShard(sc, s)
-					}
-				}(w)
+			for _, slot := range assoc[id] {
+				if sc.counts[slot] == 0 {
+					sc.touched = append(sc.touched, slot)
+				}
+				sc.counts[slot]++
 			}
-			wg.Wait()
 		}
-		for i := range sc.shards {
-			ss := &sc.shards[i]
-			for j, sub := range ss.matched {
-				fn(sub)
-				ss.matched[j] = nil // release the reference while pooled
+		for _, slot := range sc.touched {
+			if sc.counts[slot] >= e.gate[slot] {
+				if se := e.dense[slot]; !se.hasOr || e.evalTree(sc, se) {
+					fn(se.sub)
+				}
 			}
-			ss.matched = ss.matched[:0]
+			sc.counts[slot] = 0
 		}
+		sc.touched = sc.touched[:0]
 	}
 	e.scratch.Put(sc)
-}
-
-// matchWork estimates the counting-phase cost of this epoch's fulfilled
-// set: a predicate's counting-path bucket lengths summed over the shards
-// (registry counted) are exactly the counter credits it will generate, so
-// the sum over the fulfilled list is the total credits about to be
-// applied. Clustered occurrences generate none and are not counted. One
-// array load per fulfilled predicate — negligible next to the phase it
-// sizes.
-func (e *Engine) matchWork(sc *matchScratch) int {
-	if e.workers <= 1 {
-		return 0 // serial engine: the estimate is never consulted
-	}
-	work := 0
-	for _, id := range sc.fullList {
-		work += int(e.registry.byID[id].counted)
-	}
-	return work
-}
-
-// matchWorkers decides the fan-out for one call: one worker per
-// matchWorkUnit of estimated counting work, capped at the configured
-// worker count and at the processor count (goroutines beyond GOMAXPROCS
-// cannot run in parallel — they only add handoff, which is why a
-// workers=8 layout used to lose to serial on small machines). Light
-// events run serial regardless of configuration.
-func (e *Engine) matchWorkers(work int) int {
-	nw := work / matchWorkUnit
-	if nw <= 1 {
-		return 1
-	}
-	if nw > e.workers {
-		nw = e.workers
-	}
-	if nw > e.procs {
-		nw = e.procs
-	}
-	return nw
-}
-
-// matchShard runs the counting phase for one shard: credit subscriptions
-// associated with this epoch's fulfilled predicates, then accept those that
-// reached their pmin gate, evaluating the tree only when it has an OR. The
-// gate is a dense array, so a slot that misses it never loads its entry.
-// The occupancy mask skips predicates with no association in this shard
-// (the common case once shards are fine-grained) with one contiguous load.
-// Counters are reset on the way out so the scratch returns to its all-zero
-// pool state.
-//
-//dimlint:hotpath
-func (e *Engine) matchShard(sc *matchScratch, s int) {
-	ss := &sc.shards[s]
-	table := e.registry.assoc[s]
-	masks := e.registry.masks
-	bit := uint64(1) << uint(s)
-	for _, id := range sc.fullList {
-		if masks[id]&bit == 0 {
-			continue
-		}
-		for _, local := range table[id] {
-			if ss.counts[local] == 0 {
-				ss.touched = append(ss.touched, local)
-			}
-			ss.counts[local]++
-		}
-	}
-	shards := int32(e.shards)
-	for _, local := range ss.touched {
-		if slot := local*shards + int32(s); ss.counts[local] >= e.gate[slot] {
-			if se := e.dense[slot]; !se.hasOr || e.evalTree(sc, se) {
-				ss.matched = append(ss.matched, se.sub)
-			}
-		}
-		ss.counts[local] = 0
-	}
-	ss.touched = ss.touched[:0]
 }
 
 // allFulfilled reports whether every leaf predicate carries this epoch's

@@ -335,82 +335,3 @@ func TestEngineOracleAfterPruningUpdates(t *testing.T) {
 		}
 	}
 }
-
-// TestMatchWorkersGate exercises the work-estimate fan-out gate: the
-// worker count must scale with the counting credits an event actually
-// generates (sum of fulfilled predicates' association counts), not with
-// static table size, and must never exceed the configured maximum.
-func TestMatchWorkersGate(t *testing.T) {
-	e := NewSharded(16, 8)
-	e.procs = 8 // pin: the gate also caps at GOMAXPROCS, which varies by host
-	tests := []struct {
-		work, want int
-	}{
-		{0, 1},
-		{matchWorkUnit - 1, 1},
-		{matchWorkUnit, 1}, // one unit is exactly serial's comfort zone
-		{2 * matchWorkUnit, 2},
-		{5 * matchWorkUnit, 5},
-		{100 * matchWorkUnit, 8}, // capped at the configured workers
-	}
-	for _, tt := range tests {
-		if got := e.matchWorkers(tt.work); got != tt.want {
-			t.Errorf("matchWorkers(%d) = %d, want %d", tt.work, got, tt.want)
-		}
-	}
-
-	// The estimate itself: a predicate shared by n counting-path
-	// subscriptions counts n credits; an unfulfilled predicate and a
-	// clustered occurrence count nothing.
-	shared := NewSharded(16, 8)
-	for id := uint64(1); id <= 100; id++ {
-		if err := shared.Register(mustSub(t, id, `x >= 1`)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := shared.Register(mustSub(t, 101, `y >= 2`)); err != nil {
-		t.Fatal(err)
-	}
-	if err := shared.Register(mustSub(t, 102, `x = 1 and x >= 1`)); err != nil {
-		t.Fatal(err)
-	}
-	sc := shared.getScratch()
-	sc.epoch++
-	sc.fullList = sc.fullList[:0]
-	for _, a := range event.Build(1).Int("x", 1).Msg().Attrs {
-		shared.attrs[a.Name].collect(a.Value, func(id predID) {
-			sc.fulfilled[id] = sc.epoch
-			sc.fullList = append(sc.fullList, id)
-		})
-	}
-	if got := shared.matchWork(sc); got != 100 {
-		t.Errorf("matchWork over x=1 = %d credits, want 100 (y unfulfilled, entry 102 clustered)", got)
-	}
-	shared.scratch.Put(sc)
-}
-
-// TestMatchParallelAgreesWithSerialAtLowWork pins the regression the gate
-// could hide: results must be identical whether the gate picks 1 worker or
-// the full fan-out.
-func TestMatchParallelAgreesWithSerialAtLowWork(t *testing.T) {
-	serial := New()
-	parallel := NewSharded(16, 8)
-	for id := uint64(1); id <= 512; id++ {
-		expr := `x > 5 and x <= 100`
-		if id%3 == 0 {
-			expr = `x = 7 or y = 1`
-		}
-		for _, e := range []*Engine{serial, parallel} {
-			if err := e.Register(mustSub(t, id, expr)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	for v := int64(0); v < 20; v++ {
-		m := event.Build(uint64(v+1)).Int("x", v).Msg()
-		a, b := matchIDs(serial, m), matchIDs(parallel, m)
-		if !equalIDs(a, b) {
-			t.Fatalf("x=%d: serial %v != parallel %v", v, a, b)
-		}
-	}
-}

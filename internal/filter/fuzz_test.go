@@ -11,9 +11,9 @@ import (
 
 // FuzzMatchOracle replays a seeded interleaving of Register, Update by one
 // pruning step, and Unregister (whose freed dense slots later registrations
-// reuse) against a serial and a sharded engine, and holds both to direct
-// tree evaluation after every step: identical match sets, associations
-// equal to the live leaf count, and every entry on exactly one path.
+// reuse) against one engine, and holds it to direct tree evaluation after
+// every step: identical match sets, associations equal to the live leaf
+// count, and every entry on exactly one path.
 func FuzzMatchOracle(f *testing.F) {
 	for _, seed := range []uint64{1, 2, 3, 42, 1234} {
 		f.Add(seed, uint16(300))
@@ -26,18 +26,10 @@ func FuzzMatchOracle(f *testing.F) {
 func replayMatchOracle(t *testing.T, seed uint64, steps int) {
 	t.Helper()
 	r := dist.New(seed)
-	engines := []*Engine{New(), NewSharded(4, 2)}
+	e := New()
 	live := map[uint64]*subscription.Subscription{}
 	var ids []uint64 // live IDs in a deterministic order
 	nextID := uint64(1)
-	apply := func(op func(e *Engine) error) {
-		t.Helper()
-		for _, e := range engines {
-			if err := op(e); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
 	for step := 0; step < steps; step++ {
 		switch k := r.Intn(10); {
 		case k < 5 || len(ids) == 0:
@@ -49,7 +41,9 @@ func replayMatchOracle(t *testing.T, seed uint64, steps int) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			apply(func(e *Engine) error { return e.Register(s) })
+			if err := e.Register(s); err != nil {
+				t.Fatal(err)
+			}
 			live[nextID] = s
 			ids = append(ids, nextID)
 			nextID++
@@ -64,7 +58,9 @@ func replayMatchOracle(t *testing.T, seed uint64, steps int) {
 				t.Fatalf("step %d: valid candidate of %s rejected", step, s.Root)
 			}
 			ns := &subscription.Subscription{ID: s.ID, Subscriber: s.Subscriber, Root: root}
-			apply(func(e *Engine) error { return e.Update(ns) })
+			if err := e.Update(ns); err != nil {
+				t.Fatal(err)
+			}
 			live[s.ID] = ns
 		default:
 			i := r.Intn(len(ids))
@@ -72,12 +68,9 @@ func replayMatchOracle(t *testing.T, seed uint64, steps int) {
 			ids[i] = ids[len(ids)-1]
 			ids = ids[:len(ids)-1]
 			delete(live, id)
-			apply(func(e *Engine) error {
-				if !e.Unregister(id) {
-					t.Fatalf("step %d: engine lost subscription %d", step, id)
-				}
-				return nil
-			})
+			if !e.Unregister(id) {
+				t.Fatalf("step %d: engine lost subscription %d", step, id)
+			}
 		}
 
 		leaves := 0
@@ -88,15 +81,13 @@ func replayMatchOracle(t *testing.T, seed uint64, steps int) {
 		if len(ids) > 0 {
 			msgs = append(msgs, witnessMessage(r, live[ids[r.Intn(len(ids))]].Root, uint64(step)))
 		}
-		for _, e := range engines {
-			checkLayout(t, e)
-			if got := e.Associations(); got != leaves {
-				t.Fatalf("step %d: Associations = %d, live leaves %d", step, got, leaves)
-			}
-			for _, m := range msgs {
-				if got, want := matchIDs(e, m), oracleIDs(live, m); !equalIDs(got, want) {
-					t.Fatalf("step %d, %d shards, message %s:\nengine %v\noracle %v", step, e.shards, m, got, want)
-				}
+		checkLayout(t, e)
+		if got := e.Associations(); got != leaves {
+			t.Fatalf("step %d: Associations = %d, live leaves %d", step, got, leaves)
+		}
+		for _, m := range msgs {
+			if got, want := matchIDs(e, m), oracleIDs(live, m); !equalIDs(got, want) {
+				t.Fatalf("step %d, message %s:\nengine %v\noracle %v", step, m, got, want)
 			}
 		}
 	}
@@ -132,9 +123,18 @@ func oracleIDs(live map[uint64]*subscription.Subscription, m *event.Message) []u
 // checkLayout asserts that every registered entry sits on exactly one
 // path: clustered entries are OR-free, hang off one of their own
 // non-negated equality leaves at their stored position, and are barred
-// from the counting phase; counting entries are gated at their pmin.
+// from the counting phase; counting entries are gated at their pmin and
+// are the only ones in the association buckets. The dense occupancy array
+// agrees with every bucket.
 func checkLayout(t *testing.T, e *Engine) {
 	t.Helper()
+	credits := 0
+	for id, bucket := range e.registry.assoc {
+		if got := e.registry.counted[id]; got != int32(len(bucket)) {
+			t.Fatalf("predicate %d: counted %d, bucket holds %d", id, got, len(bucket))
+		}
+		credits += len(bucket)
+	}
 	clustered := 0
 	for p, members := range e.clusters {
 		for i, m := range members {
@@ -153,6 +153,7 @@ func checkLayout(t *testing.T, e *Engine) {
 			if want := int32(se.sub.PMin()); e.gate[se.idx] != want {
 				t.Fatalf("counting entry %d gated at %d, pmin %d", id, e.gate[se.idx], want)
 			}
+			credits -= len(se.leafs)
 			continue
 		}
 		clustered--
@@ -172,6 +173,9 @@ func checkLayout(t *testing.T, e *Engine) {
 	}
 	if clustered != 0 {
 		t.Fatalf("clusters hold %d entries more than the table", clustered)
+	}
+	if credits != 0 {
+		t.Fatalf("association buckets hold %d occurrences more than the counting entries' leaves", credits)
 	}
 }
 

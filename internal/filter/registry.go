@@ -5,16 +5,11 @@ import "dimprune/internal/subscription"
 // predID densely numbers distinct predicates in the registry.
 type predID = int32
 
-// maxShards bounds the shard count so each predicate's shard occupancy
-// fits one 64-bit mask.
-const maxShards = 64
-
 // predEntry is one interned predicate.
 type predEntry struct {
-	pred    subscription.Predicate
-	refs    int32 // leaf occurrences across all registered trees: liveness
-	counted int32 // occurrences in the counting-path buckets: credits per fulfilment
-	live    bool
+	pred subscription.Predicate
+	refs int32 // leaf occurrences across all registered trees: liveness
+	live bool
 }
 
 // registry deduplicates predicates across subscriptions. Identical
@@ -23,43 +18,31 @@ type predEntry struct {
 //
 // Every leaf occurrence of every registered tree holds one reference
 // (intern/release); a predicate lives while any tree references it. Only
-// counting-path trees also enter the association buckets, stored
-// shard-major for the parallel counting phase: assoc[shard][predID] lists
-// the shard-local slots (dense subscription index / shards) holding a leaf
-// occurrence of the predicate, one entry per occurrence, so a predicate
-// appearing twice in one tree credits its counter twice (pmin counts leaf
-// occurrences). masks[predID] has bit s set iff shard s's bucket is
-// non-empty, letting a counting worker skip the (common) empty buckets with
-// one contiguous 8-byte load instead of a pointer chase.
+// counting-path trees also enter the association buckets: assoc[predID]
+// lists the dense subscription slots holding a leaf occurrence of the
+// predicate, one entry per occurrence, so a predicate appearing twice in
+// one tree credits its counter twice (pmin counts leaf occurrences).
+// counted[predID] mirrors len(assoc[predID]) in a dense array, so the
+// counting phase skips the (common) empty buckets with one 4-byte load
+// instead of a slice-header load.
 //
-// Reads (pred, mask, bucket) are safe concurrently; mutations require the
-// engine's exclusive access.
+// Reads (pred, counted, bucket) are safe concurrently; mutations require
+// the engine's exclusive access.
 type registry struct {
-	shards int
-	byPred map[subscription.Predicate]predID
-	byID   []predEntry
-	masks  []uint64    // predID -> shard-occupancy bitmask
-	assoc  [][][]int32 // shard -> predID -> local subscription slots
-	freeID []predID
-	live   int // distinct predicates currently referenced
+	byPred  map[subscription.Predicate]predID
+	byID    []predEntry
+	assoc   [][]int32 // predID -> dense subscription slots
+	counted []int32   // predID -> len(assoc[predID])
+	freeID  []predID
+	live    int // distinct predicates currently referenced
 }
 
-func newRegistry(shards int) registry {
-	return registry{
-		shards: shards,
-		byPred: make(map[subscription.Predicate]predID),
-		assoc:  make([][][]int32, shards),
-	}
+func newRegistry() registry {
+	return registry{byPred: make(map[subscription.Predicate]predID)}
 }
 
 // capacity returns the size of the predID space (for sizing stamp tables).
 func (r *registry) capacity() int { return len(r.byID) }
-
-// shardOf returns the shard owning a dense subscription index.
-func (r *registry) shardOf(subIdx int32) int { return int(subIdx) % r.shards }
-
-// localSlot returns the shard-local slot of a dense subscription index.
-func (r *registry) localSlot(subIdx int32) int32 { return subIdx / int32(r.shards) }
 
 // intern takes one reference on p and returns its ID, allocating an entry
 // when p is new. isNew reports whether the predicate needs to be added to
@@ -74,16 +57,14 @@ func (r *registry) intern(p subscription.Predicate) (id predID, isNew bool) {
 	if n := len(r.freeID); n > 0 {
 		id = r.freeID[n-1]
 		r.freeID = r.freeID[:n-1]
-		// Retired entries left their buckets empty and mask zero; only the
-		// predicate and liveness need refreshing.
+		// Retired entries left their buckets empty and counted zero; only
+		// the predicate and liveness need refreshing.
 		r.byID[id] = predEntry{pred: p, refs: 1, live: true}
 	} else {
 		id = predID(len(r.byID))
 		r.byID = append(r.byID, predEntry{pred: p, refs: 1, live: true})
-		r.masks = append(r.masks, 0)
-		for s := range r.assoc {
-			r.assoc[s] = append(r.assoc[s], nil)
-		}
+		r.assoc = append(r.assoc, nil)
+		r.counted = append(r.counted, 0)
 	}
 	r.byPred[p] = id
 	r.live++
@@ -107,29 +88,22 @@ func (r *registry) release(id predID) (p subscription.Predicate, gone bool) {
 }
 
 // associate records that the counting-path subscription at dense index
-// subIdx holds one leaf occurrence of predicate id.
-func (r *registry) associate(id predID, subIdx int32) {
-	s := r.shardOf(subIdx)
-	r.assoc[s][id] = append(r.assoc[s][id], r.localSlot(subIdx))
-	r.masks[id] |= 1 << uint(s)
-	r.byID[id].counted++
+// slot holds one leaf occurrence of predicate id.
+func (r *registry) associate(id predID, slot int32) {
+	r.assoc[id] = append(r.assoc[id], slot)
+	r.counted[id]++
 }
 
 // dissociate removes one leaf occurrence recorded by associate.
-func (r *registry) dissociate(id predID, subIdx int32) {
-	s := r.shardOf(subIdx)
-	local := r.localSlot(subIdx)
-	bucket := r.assoc[s][id]
+func (r *registry) dissociate(id predID, slot int32) {
+	bucket := r.assoc[id]
 	for i, x := range bucket {
-		if x == local {
+		if x == slot {
 			last := len(bucket) - 1
 			bucket[i] = bucket[last]
-			r.assoc[s][id] = bucket[:last]
-			r.byID[id].counted--
-			break
+			r.assoc[id] = bucket[:last]
+			r.counted[id]--
+			return
 		}
-	}
-	if len(r.assoc[s][id]) == 0 {
-		r.masks[id] &^= 1 << uint(s)
 	}
 }

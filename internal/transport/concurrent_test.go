@@ -88,10 +88,8 @@ func stressMessage(r *dist.RNG, id uint64) *event.Message {
 // precise. Run with -race this is the data-plane/control-plane torture
 // test for the whole pipeline.
 func TestConcurrentPublishStress(t *testing.T) {
-	newParallelBroker := func(id string) *broker.Broker {
-		b, err := broker.New(broker.Config{
-			ID: id, MatchShards: 8, MatchWorkers: 4, ObserveEvents: true,
-		})
+	observingBroker := func(id string) *broker.Broker {
+		b, err := broker.New(broker.Config{ID: id, ObserveEvents: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +110,7 @@ func TestConcurrentPublishStress(t *testing.T) {
 	// excluded from the recorded set).
 	const probeBase = uint64(1) << 40
 	const flushSubID = 999999
-	srvA := NewServer(newParallelBroker("A"), func(d broker.Delivery) {
+	srvA := NewServer(observingBroker("A"), func(d broker.Delivery) {
 		if d.Msg.ID >= probeBase {
 			if d.SubID == flushSubID {
 				// Non-blocking: the callback runs on the link reader while
@@ -129,7 +127,7 @@ func TestConcurrentPublishStress(t *testing.T) {
 		delivered[delKey{d.SubID, d.Msg.ID}]++
 		delMu.Unlock()
 	})
-	srvB := NewServer(newParallelBroker("B"), nil)
+	srvB := NewServer(observingBroker("B"), nil)
 	defer srvA.Shutdown()
 	defer srvB.Shutdown()
 

@@ -15,53 +15,52 @@ import (
 // exhaustion, and verify the pruned table still matches a superset of the
 // serial oracle on every event.
 func TestPruneSupersetSingleThreaded(t *testing.T) {
-	for _, layout := range []struct{ shards, workers int }{{1, 1}, {8, 4}} {
-		t.Run(fmt.Sprintf("shards=%d", layout.shards), func(t *testing.T) {
-			b, err := broker.New(broker.Config{ID: "X", MatchShards: layout.shards, MatchWorkers: layout.workers})
+	// The engine has one registry layout; the subtest name is kept stable.
+	t.Run("shards=1", func(t *testing.T) {
+		b, err := broker.New(broker.Config{ID: "X"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.AddLink()
+		r := dist.New(2026)
+		oracle := filter.New()
+		for id := uint64(1); id <= 200; id++ {
+			s, err := subscription.New(id, fmt.Sprintf("s%d", id), stressTree(r, 3))
 			if err != nil {
 				t.Fatal(err)
 			}
-			b.AddLink()
-			r := dist.New(2026)
-			oracle := filter.New()
-			for id := uint64(1); id <= 200; id++ {
-				s, err := subscription.New(id, fmt.Sprintf("s%d", id), stressTree(r, 3))
-				if err != nil {
-					t.Fatal(err)
-				}
-				oracle.Register(s)
-				if _, err := b.HandleSubscribe(0, s); err != nil {
-					t.Fatal(err)
-				}
+			oracle.Register(s)
+			if _, err := b.HandleSubscribe(0, s); err != nil {
+				t.Fatal(err)
 			}
-			sweep := func(pruned int) {
-				er := dist.New(777)
-				for i := 0; i < 200; i++ {
-					m := stressMessage(er, uint64(i))
-					want := oracle.Match(m, nil)
-					got := map[uint64]bool{}
-					b.MatchEntries(m, func(subID uint64, _ string) { got[subID] = true })
-					sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-					for _, id := range want {
-						if !got[id] {
-							t.Fatalf("after %d prunings: pruned table under-matches event %d for sub %d", pruned, m.ID, id)
-						}
+		}
+		sweep := func(pruned int) {
+			er := dist.New(777)
+			for i := 0; i < 200; i++ {
+				m := stressMessage(er, uint64(i))
+				want := oracle.Match(m, nil)
+				got := map[uint64]bool{}
+				b.MatchEntries(m, func(subID uint64, _ string) { got[subID] = true })
+				sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+				for _, id := range want {
+					if !got[id] {
+						t.Fatalf("after %d prunings: pruned table under-matches event %d for sub %d", pruned, m.ID, id)
 					}
 				}
 			}
-			pruned := 0
-			for round := 0; ; round++ {
-				n := b.Prune(10)
-				pruned += n
-				// Full superset sweep every 10 rounds and at exhaustion.
-				if round%10 == 0 || n == 0 {
-					sweep(pruned)
-				}
-				if n == 0 {
-					break
-				}
+		}
+		pruned := 0
+		for round := 0; ; round++ {
+			n := b.Prune(10)
+			pruned += n
+			// Full superset sweep every 10 rounds and at exhaustion.
+			if round%10 == 0 || n == 0 {
+				sweep(pruned)
 			}
-			t.Logf("pruned %d, superset held", pruned)
-		})
-	}
+			if n == 0 {
+				break
+			}
+		}
+		t.Logf("pruned %d, superset held", pruned)
+	})
 }

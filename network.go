@@ -108,10 +108,10 @@ func newOverlayBrokers(n int, dim Dimension, o overlayOptions) ([]*broker.Broker
 }
 
 // NewLineOverlay builds n brokers connected as a line (the paper's
-// distributed topology), all pruning with the given dimension. Simulated
-// brokers match serially so overlay runs stay deterministic; use
-// BrokerConfig's MatchWorkers/MatchShards with NewBroker + NewServer for
-// parallel matching over real connections.
+// distributed topology), all pruning with the given dimension. The
+// simulation drives its brokers from one goroutine, so overlay runs stay
+// deterministic; use NewBroker + NewServer for brokers over real
+// connections.
 func NewLineOverlay(n int, dim Dimension, opts ...OverlayOption) (*Overlay, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("dimprune: line network needs >= 2 brokers, got %d", n)
@@ -163,11 +163,9 @@ func overlaySize(edges []OverlayEdge) (int, error) {
 
 // Server runs one broker over real connections (TCP or in-memory pipes) as
 // a concurrent pipeline: connection readers decode frames, publishes route
-// concurrently through the broker's shared data plane (fanning each match
-// out across the broker's configured workers), and per-peer outboxes drain
-// in order. Configure parallelism via BrokerConfig.MatchWorkers and
-// BrokerConfig.MatchShards on the wrapped broker; use Server.PublishBatch
-// to amortize lock handoff under bursty load.
+// concurrently through the broker's shared data plane, and per-peer
+// outboxes drain in order. Use Server.PublishBatch to amortize lock
+// handoff under bursty load.
 type Server = transport.Server
 
 // Conn is a frame-oriented bidirectional connection.

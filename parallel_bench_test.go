@@ -1,16 +1,17 @@
 package dimprune
 
-// Concurrent-throughput benchmarks for the parallel publish pipeline.
+// Publish-path benchmarks for the embedded engine, every match running on
+// its publishing goroutine.
 //
-// BenchmarkPublishParallel is the perf-trajectory headline: one publishing
-// goroutine drives an Embedded instance loaded with the auction workload,
-// and the match worker/shard layout varies. Speedup here is pure intra-match
-// fan-out — the gain the filter engine's sharded counting phase delivers on
-// a single hot publisher.
+// BenchmarkPublishParallel is the per-workload headline: one publishing
+// goroutine drives an Embedded instance loaded with each registered
+// workload, so it measures the serial match path the paper's throughput
+// figures reason about. BenchmarkPublishBatch measures the batched path
+// at the same scale.
 //
-// BenchmarkPublishConcurrentPublishers measures the other axis: GOMAXPROCS
-// publishing goroutines against a serial-match engine. Speedup here is the
-// data-plane RWMutex split — concurrent matches with per-call scratch.
+// BenchmarkPublishConcurrentPublishers measures the parallelism the engine
+// keeps: GOMAXPROCS publishing goroutines sharing the data plane's
+// RWMutex, each match with its own pooled scratch.
 
 import (
 	"fmt"
@@ -23,11 +24,9 @@ import (
 
 // benchEmbedded builds an Embedded instance with nSubs subscriptions of
 // the named workload and returns it with a pre-generated event stream.
-func benchEmbedded(b *testing.B, wl string, workers, shards, nSubs, nEvents int) (*Embedded, []*event.Message) {
+func benchEmbedded(b *testing.B, wl string, nSubs, nEvents int) (*Embedded, []*event.Message) {
 	b.Helper()
 	ps, err := NewEmbedded(EmbeddedConfig{
-		MatchWorkers:    workers,
-		Shards:          shards,
 		DisableLearning: true, // isolate matching; the model has its own lock
 	})
 	if err != nil {
@@ -52,41 +51,30 @@ func benchEmbedded(b *testing.B, wl string, workers, shards, nSubs, nEvents int)
 	return ps, gen.Events(1, nEvents)
 }
 
-// BenchmarkPublishParallel sweeps the worker/shard layout with a single
-// publisher, for every registered workload scenario — the per-workload
-// perf trajectory (BENCH_5.json, re-measured by the CI bench-workloads
-// job). events/sec at workers=4 or 8 versus workers=1 is the acceptance
-// ratio recorded in CHANGES.md; the cross-workload spread shows how
-// match cost depends on predicate shape (ticker's hot symbols match an
-// order of magnitude more entries per event than sensornet's
-// high-cardinality alert trees).
+// BenchmarkPublishParallel publishes from a single goroutine for every
+// registered workload scenario — the per-workload perf trajectory
+// (BENCH_5.json). The cross-workload spread shows how match cost depends
+// on predicate shape (ticker's hot symbols match an order of magnitude
+// more entries per event than sensornet's high-cardinality alert trees).
 func BenchmarkPublishParallel(b *testing.B) {
-	layouts := []struct{ workers, shards int }{
-		{1, 1},
-		{1, 16},
-		{4, 16},
-		{8, 16},
-	}
 	const nSubs = 20000
 	for _, wl := range workload.Names() {
-		for _, l := range layouts {
-			b.Run(fmt.Sprintf("workload=%s/workers=%d/shards=%d", wl, l.workers, l.shards), func(b *testing.B) {
-				ps, events := benchEmbedded(b, wl, l.workers, l.shards, nSubs, 4096)
-				matches := 0
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					n, err := ps.Publish(events[i%len(events)])
-					if err != nil {
-						b.Fatal(err)
-					}
-					matches += n
+		b.Run(fmt.Sprintf("workload=%s", wl), func(b *testing.B) {
+			ps, events := benchEmbedded(b, wl, nSubs, 4096)
+			matches := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				n, err := ps.Publish(events[i%len(events)])
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.StopTimer()
-				if matches == 0 {
-					b.Fatal("benchmark workload matched nothing")
-				}
-			})
-		}
+				matches += n
+			}
+			b.StopTimer()
+			if matches == 0 {
+				b.Fatal("benchmark workload matched nothing")
+			}
+		})
 	}
 }
 
@@ -94,30 +82,21 @@ func BenchmarkPublishParallel(b *testing.B) {
 func BenchmarkPublishBatch(b *testing.B) {
 	const nSubs = 20000
 	const batch = 64
-	for _, workers := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			shards := 1
-			if workers > 1 {
-				shards = 16
-			}
-			ps, events := benchEmbedded(b, "auction", workers, shards, nSubs, 4096)
-			b.ResetTimer()
-			for i := 0; i < b.N; i += batch {
-				lo := i % (len(events) - batch)
-				if _, err := ps.PublishBatch(events[lo : lo+batch]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	ps, events := benchEmbedded(b, "auction", nSubs, 4096)
+	b.ResetTimer()
+	for i := 0; i < b.N; i += batch {
+		lo := i % (len(events) - batch)
+		if _, err := ps.PublishBatch(events[lo : lo+batch]); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
-// BenchmarkPublishConcurrentPublishers drives a serial-match engine from
-// GOMAXPROCS goroutines: cross-call concurrency through the shared data
-// plane, no intra-match fan-out.
+// BenchmarkPublishConcurrentPublishers drives the engine from GOMAXPROCS
+// goroutines: cross-call concurrency through the shared data plane.
 func BenchmarkPublishConcurrentPublishers(b *testing.B) {
 	const nSubs = 20000
-	ps, events := benchEmbedded(b, "auction", 1, 1, nSubs, 4096)
+	ps, events := benchEmbedded(b, "auction", nSubs, 4096)
 	var n atomic.Uint64
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
