@@ -176,8 +176,8 @@ func run(args []string, stop <-chan os.Signal) error {
 	}
 
 	// Dial static raw links first: their link IDs follow flag order, which
-	// is what makes snapshot restore stable across restarts. Listeners and
-	// managed peer links come afterwards; those links get higher IDs.
+	// is what makes snapshot restore stable across restarts. Managed peer
+	// links and listeners come afterwards; those links get higher IDs.
 	for _, p := range strings.Split(*peers, ",") {
 		p = strings.TrimSpace(p)
 		if p == "" {
@@ -190,6 +190,17 @@ func run(args []string, stop <-chan os.Signal) error {
 	}
 	if *snapshot != "" {
 		if err := loadSnapshot(b, *snapshot, logger); err != nil {
+			return err
+		}
+	}
+	// Managed peer links: handshake (acyclicity check), state replay, and
+	// reconnect-with-resync on loss. A refused or unreachable peer fails
+	// startup; later losses are the reconnect loop's job. They join before
+	// any listener opens: a daemon reachable before it has joined its peers
+	// could be joined by a third daemon to both sides, and then its own
+	// join would be refused as a cycle.
+	for _, p := range peerAddrs {
+		if _, err := srv.DialPeer(p); err != nil {
 			return err
 		}
 	}
@@ -217,14 +228,6 @@ func run(args []string, stop <-chan os.Signal) error {
 		shard.SetLogf(logger.Printf)
 		go func() { _ = shard.Serve(ln) }()
 		logger.Printf("fleet shard on %s", ln.Addr())
-	}
-	// Managed peer links: handshake (acyclicity check), state replay, and
-	// reconnect-with-resync on loss. A refused or unreachable peer fails
-	// startup; later losses are the reconnect loop's job.
-	for _, p := range peerAddrs {
-		if _, err := srv.DialPeer(p); err != nil {
-			return err
-		}
 	}
 
 	var pruneTick, statsTick <-chan time.Time

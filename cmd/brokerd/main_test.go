@@ -4,6 +4,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -154,15 +155,24 @@ func TestDaemonRefusesCycleEdge(t *testing.T) {
 	}
 }
 
+// handedOut holds every address freePort returned. The kernel may hand a
+// just-closed port to the next listen on :0, so two calls in a row could
+// otherwise name the same port for two daemons.
+var handedOut sync.Map
+
 func freePort(t *testing.T) string {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	for {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr := ln.Addr().String()
+		_ = ln.Close()
+		if _, dup := handedOut.LoadOrStore(addr, true); !dup {
+			return addr
+		}
 	}
-	addr := ln.Addr().String()
-	_ = ln.Close()
-	return addr
 }
 
 // TestSnapshotAcrossRestart pins what a snapshot is for: routing state

@@ -79,7 +79,7 @@ const (
 	Network = core.DimNetwork
 	// Memory maximizes routing-table byte reduction per step (Δ≈mem).
 	Memory = core.DimMemory
-	// Throughput keeps the counting filter's pmin gate strong (Δ≈eff).
+	// Throughput keeps pmin, the gate of the paper's counting filter, high (Δ≈eff).
 	Throughput = core.DimThroughput
 )
 

@@ -21,8 +21,8 @@ const (
 	// DimMemory maximizes the per-step reduction of routing-table bytes
 	// (memory-based pruning, §3.2: primary key Δ≈mem).
 	DimMemory
-	// DimThroughput keeps the filter engine's pmin gate strong
-	// (throughput-based pruning, §3.3: primary key Δ≈eff).
+	// DimThroughput keeps pmin, the gate of the paper's counting filter,
+	// high (throughput-based pruning, §3.3: primary key Δ≈eff).
 	DimThroughput
 )
 

@@ -33,16 +33,25 @@ func benchEngine(b *testing.B, name string, n int) (*Engine, []*event.Message) {
 }
 
 // BenchmarkMatch reports, per workload and table size, the match time per
-// event, the matches per event, and the share of the table on the
-// clustered path — the property the clustering gain depends on.
+// event, the matches per event, the share of the table on the clustered
+// path — the property the clustering gain depends on — and the share of
+// the counting path whose conjunct mask alone decides a match, with no
+// tree evaluation.
 func BenchmarkMatch(b *testing.B) {
 	for _, name := range []string{"auction", "ticker", "sensornet"} {
 		for _, subs := range []int{1000, 20000} {
 			b.Run(fmt.Sprintf("%s/subs=%d", name, subs), func(b *testing.B) {
 				e, events := benchEngine(b, name, subs)
-				clustered := 0
-				for _, c := range e.clusters {
-					clustered += len(c)
+				clustered, counting, exact := 0, 0, 0
+				for _, se := range e.dense {
+					if se.access >= 0 {
+						clustered++
+						continue
+					}
+					counting++
+					if !se.needsEval {
+						exact++
+					}
 				}
 				b.ResetTimer()
 				matches := 0
@@ -51,6 +60,7 @@ func BenchmarkMatch(b *testing.B) {
 				}
 				b.ReportMetric(float64(matches)/float64(b.N), "matches/event")
 				b.ReportMetric(100*float64(clustered)/float64(subs), "clustered%")
+				b.ReportMetric(100*float64(exact)/float64(max(counting, 1)), "exact%")
 			})
 		}
 	}

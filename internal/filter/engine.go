@@ -19,33 +19,47 @@
 //     cluster is currently smallest, the first in pre-order on ties. After
 //     the predicate phase the engine walks the cluster of each fulfilled
 //     predicate and accepts a member when every one of its leaves carries
-//     this event's stamp. No counter is credited and no tree is evaluated.
-//   - Counting: every other tree. Each fulfilled predicate credits a
-//     counter on every associated subscription; a subscription whose
-//     counter reaches its gate pmin — the minimal number of fulfilled
-//     predicates that can satisfy the tree — is accepted. Only a tree with
-//     an OR is then evaluated: without one, pmin is its leaf count, so
-//     reaching it already means every leaf is fulfilled.
+//     this event's stamp. No mask bit is set and no tree is evaluated.
+//   - Counting: every other tree. Its top-level conjuncts are numbered —
+//     a root AND is flattened through nested ANDs, any other root is one
+//     conjunct — and each conjunct's guard leaves enter the association
+//     buckets tagged with the conjunct's bit. A leaf guards itself, an OR
+//     is guarded by all its children's guards, and an AND below an OR by
+//     its first child's only. A conjunct that holds has a fulfilled guard,
+//     so a subscription is accepted only when the fulfilled predicates set
+//     every bit of its full mask. The mask alone decides a tree with no AND
+//     below an OR: each conjunct is then a leaf or an OR of leaves, which
+//     any fulfilled guard satisfies. Only the other trees are evaluated,
+//     and so is a tree past 32 conjuncts, whose later conjuncts share the
+//     last bit.
 //
-// The pmin gate is exactly what throughput-based pruning preserves: pruning
-// that keeps pmin high keeps tree evaluations rare. A pruning reaches the
-// engine through Update, which re-chooses the path, so a pruning that
-// removes the access leaf re-clusters the tree under its next equality
-// leaf or moves it back to counting.
+// The engine does not gate on pmin, the minimal number of fulfilled
+// predicates that can satisfy the tree, as the paper's counting matcher
+// does. Under a count, two fulfilled branches of one OR stand in for a
+// conjunct with nothing fulfilled, so on disjunctive tables most trees
+// would pass the gate only to fail evaluation; the mask cannot be fooled
+// that way, and the non-first leaves of an AND below an OR set no bit at
+// all. pmin remains the paper's throughput rating (Δ≈eff in internal/core);
+// whether that rating should follow the mask is an open question, not
+// this package's.
+//
+// A pruning reaches the engine through Update, which re-chooses the path
+// and recomputes the guards, so a pruning that removes the access leaf
+// re-clusters the tree under its next equality leaf or moves it back to
+// counting, and one that removes an inner AND's first child moves that
+// AND's guard to its next child.
 //
 // Only OR-free trees cluster. An AND with an equality child and an OR
 // elsewhere could be clustered too, but its members would need their
-// residual tree evaluated directly. On the sensornet workload that cost
-// 538 µs/event against 75 µs for counting the same table (1 439 candidates
-// evaluated against 4 473 counter credits), because its equality leaves are
-// broad and its residuals disjunctive. Clustering extends to OR residuals
-// only if a later measurement shows it pays.
+// residual tree evaluated directly, and on sensornet, whose equality leaves
+// are broad and residuals disjunctive, that measured several times slower
+// than counting the same table.
 //
 // The path depends on the tree's shape and the table's current cluster
 // sizes only — no option, no selectivity estimate — so engines fed the same
 // mutations lay out identically, and a clustered tree never costs more per
 // event than counting would: a member is visited only when its access leaf
-// is fulfilled, which on the counting path credits it at least once anyway.
+// is fulfilled, which on the counting path would set one of its bits anyway.
 //
 // # Concurrency model
 //
@@ -54,7 +68,7 @@
 // indexes, the clusters, and the dense subscription table; they require
 // exclusive access. Match, MatchVisit, and MatchCount only read that shared
 // state — all per-event scratch (the fulfilled-predicate stamps and the
-// subscription counters) lives in pooled per-call buffers — so any number
+// subscription masks) lives in pooled per-call buffers — so any number
 // of match calls may run concurrently with each other, as long as no
 // mutation runs at the same time. Callers enforce the discipline with an
 // RWMutex: matches under RLock, mutations under Lock (see internal/broker).
@@ -63,7 +77,6 @@ package filter
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"dimprune/internal/event"
@@ -84,7 +97,7 @@ type Engine struct {
 
 	subs     map[uint64]*subEntry
 	dense    []*subEntry // dense index -> entry (nil for free slots)
-	gate     []int32     // dense index -> credits a counting-path entry needs (its pmin)
+	full     []uint32    // dense index -> mask a counting-path entry needs; 0 for free and clustered slots
 	freeSubs []int32
 
 	// clusters[p] lists the clustered entries whose access predicate is p.
@@ -94,8 +107,18 @@ type Engine struct {
 
 	assocs int // current predicate/subscription associations
 
+	walk guardWalk // mutation scratch: the bucket entries of one tree
+
 	scratch sync.Pool // *matchScratch
 }
+
+// A bucket entry packs a dense slot and a conjunct bit as slot<<conjBits |
+// bit, so a slot must stay below maxSlots for the entry to fit an int32.
+const (
+	conjBits = 5
+	lastBit  = 1<<conjBits - 1 // conjuncts from the 32nd on share this bit
+	maxSlots = 1 << (31 - conjBits)
+)
 
 // member is one clustered entry with its leaves inline, so the cluster
 // walk reads them without loading the entry.
@@ -104,30 +127,26 @@ type member struct {
 	se    *subEntry
 }
 
-// noGate is the gate of a slot the counting phase must never accept: a
-// free slot or a clustered entry. No counter reaches it.
-const noGate = math.MaxInt32
-
 // subEntry is the engine's view of one registered subscription.
 type subEntry struct {
-	sub    *subscription.Subscription
-	idx    int32    // dense index
-	access predID   // access predicate when clustered, -1 on the counting path
-	pos    int32    // clustered: position in clusters[access]
-	hasOr  bool     // counting path: a gate pass still needs evalTree
-	leafs  []predID // leaf predicates in pre-order (with duplicates)
+	sub       *subscription.Subscription
+	idx       int32    // dense index
+	access    predID   // access predicate when clustered, -1 on the counting path
+	pos       int32    // clustered: position in clusters[access]
+	needsEval bool     // counting path: a full mask still needs evalTree
+	leafs     []predID // leaf predicates in pre-order (with duplicates)
 }
 
 // matchScratch is the per-call state of one match: epoch-stamped fulfilled
-// predicates plus the counting phase's counters and touched list. Scratch
-// is pooled and reused; buffers grow to the engine's current sizes on
-// acquisition.
+// predicates plus the counting phase's conjunct masks and touched list.
+// Scratch is pooled and reused; buffers grow to the engine's current sizes
+// on acquisition.
 type matchScratch struct {
 	epoch     uint64
 	fulfilled []uint64 // predID -> epoch stamp
 	fullList  []predID // predicates fulfilled this epoch
-	counts    []int32  // dense index -> credit count
-	touched   []int32  // dense indexes with counts > 0 this epoch
+	masks     []uint32 // dense index -> conjunct bits set this epoch
+	touched   []int32  // dense indexes with a non-zero mask this epoch
 }
 
 // New returns an empty engine.
@@ -160,7 +179,8 @@ func (e *Engine) Subscription(id uint64) (*subscription.Subscription, bool) {
 }
 
 // Register adds a subscription. The subscription tree is used as-is (callers
-// pass validated trees); registering an already-present ID is an error.
+// pass validated trees); registering an already-present ID, or a
+// subscription beyond the 2²⁶ the dense table can address, is an error.
 func (e *Engine) Register(s *subscription.Subscription) error {
 	if _, dup := e.subs[s.ID]; dup {
 		return fmt.Errorf("filter: subscription %d already registered", s.ID)
@@ -171,9 +191,12 @@ func (e *Engine) Register(s *subscription.Subscription) error {
 		e.freeSubs = e.freeSubs[:n-1]
 		e.dense[se.idx] = se
 	} else {
+		if len(e.dense) >= maxSlots {
+			return fmt.Errorf("filter: table full at %d subscriptions", maxSlots)
+		}
 		se.idx = int32(len(e.dense))
 		e.dense = append(e.dense, se)
-		e.gate = append(e.gate, noGate)
+		e.full = append(e.full, 0)
 	}
 	e.subs[s.ID] = se
 	e.attach(se)
@@ -210,7 +233,8 @@ func (e *Engine) Update(s *subscription.Subscription) error {
 
 // attach registers the entry's current tree with the predicate registry and
 // attribute indexes, then puts it on its path: into the cluster of its
-// access predicate, or into the counting-path buckets behind its pmin gate.
+// access predicate, or into the counting-path buckets of its guard leaves
+// behind its full conjunct mask.
 func (e *Engine) attach(se *subEntry) {
 	leaves := se.sub.Root.Leaves(nil)
 	se.leafs = make([]predID, len(leaves))
@@ -223,12 +247,12 @@ func (e *Engine) attach(se *subEntry) {
 	}
 	e.assocs += len(leaves)
 
-	se.hasOr = hasOr(se.sub.Root)
 	se.access = -1
-	if !se.hasOr {
+	if !hasOr(se.sub.Root) {
 		se.access = e.accessLeaf(leaves, se.leafs)
 	}
 	if se.access >= 0 {
+		se.needsEval = false
 		for int(se.access) >= len(e.clusters) {
 			e.clusters = append(e.clusters, nil)
 		}
@@ -236,9 +260,10 @@ func (e *Engine) attach(se *subEntry) {
 		e.clusters[se.access] = append(e.clusters[se.access], member{se.leafs, se})
 		return
 	}
-	e.gate[se.idx] = int32(se.sub.PMin())
-	for _, id := range se.leafs {
-		e.registry.associate(id, se.idx)
+	e.full[se.idx] = e.walk.run(se)
+	se.needsEval = e.walk.needsEval
+	for _, g := range e.walk.out {
+		e.registry.associate(g.id, g.entry)
 	}
 }
 
@@ -278,6 +303,72 @@ func hasOr(n *subscription.Node) bool {
 	return false
 }
 
+// guard is one counting-path bucket entry: predicate id holds the packed
+// slot<<conjBits | bit of a conjunct it guards.
+type guard struct {
+	id    predID
+	entry int32
+}
+
+// guardWalk lists the bucket entries of one counting-path tree. attach and
+// detach both run it on the tree they handle, so detach dissociates exactly
+// what attach associated; the engine keeps one walk so neither allocates.
+type guardWalk struct {
+	leafs     []predID // the tree's leaves in pre-order
+	pos       int      // cursor into leafs
+	slot      int32
+	out       []guard
+	needsEval bool // an AND below an OR, or conjuncts sharing lastBit
+}
+
+// run walks se's current tree into w.out and returns its full mask.
+func (w *guardWalk) run(se *subEntry) uint32 {
+	w.leafs, w.pos, w.slot, w.out, w.needsEval = se.leafs, 0, se.idx, w.out[:0], false
+	n := w.conjuncts(se.sub.Root, 0)
+	w.leafs = nil
+	if n > lastBit+1 {
+		w.needsEval = true
+		n = lastBit + 1
+	}
+	return ^uint32(0) >> (lastBit + 1 - n)
+}
+
+// conjuncts numbers the top-level conjuncts below n from k on, flattening
+// nested ANDs, and returns the next number.
+func (w *guardWalk) conjuncts(n *subscription.Node, k int) int {
+	if n.Kind != subscription.NodeAnd {
+		w.node(n, int32(min(k, lastBit)), true)
+		return k + 1
+	}
+	for _, c := range n.Children {
+		k = w.conjuncts(c, k)
+	}
+	return k
+}
+
+// node emits the guard leaves of n for conjunct bit when guarding is set,
+// and advances the leaf cursor past n either way.
+func (w *guardWalk) node(n *subscription.Node, bit int32, guarding bool) {
+	switch n.Kind {
+	case subscription.NodeLeaf:
+		if guarding {
+			w.out = append(w.out, guard{w.leafs[w.pos], w.slot<<conjBits | bit})
+		}
+		w.pos++
+	case subscription.NodeAnd:
+		// Below an OR: only the first child guards, so a full mask no
+		// longer proves the AND holds.
+		w.needsEval = true
+		for i, c := range n.Children {
+			w.node(c, bit, guarding && i == 0)
+		}
+	case subscription.NodeOr:
+		for _, c := range n.Children {
+			w.node(c, bit, guarding)
+		}
+	}
+}
+
 // detach takes the entry's current tree off its path, the registry and the
 // indexes.
 func (e *Engine) detach(se *subEntry) {
@@ -289,10 +380,11 @@ func (e *Engine) detach(se *subEntry) {
 		c[last] = member{}
 		e.clusters[se.access] = c[:last]
 	} else {
-		for _, id := range se.leafs {
-			e.registry.dissociate(id, se.idx)
+		e.walk.run(se)
+		for _, g := range e.walk.out {
+			e.registry.dissociate(g.id, g.entry)
 		}
-		e.gate[se.idx] = noGate
+		e.full[se.idx] = 0
 	}
 	for _, id := range se.leafs {
 		if p, gone := e.registry.release(id); gone {
@@ -328,7 +420,7 @@ func (e *Engine) indexRemove(id predID, p subscription.Predicate) {
 }
 
 // getScratch acquires a pooled scratch and grows its buffers to the
-// engine's current predicate and subscription capacities. Counters are zero
+// engine's current predicate and subscription capacities. Masks are zero
 // whenever a scratch sits in the pool (the counting phase resets the slots
 // it touched), so growth only needs to preserve that invariant.
 //
@@ -343,8 +435,8 @@ func (e *Engine) getScratch() *matchScratch {
 		copy(grown, sc.fulfilled)
 		sc.fulfilled = grown
 	}
-	if n := len(e.dense); n > len(sc.counts) {
-		sc.counts = make([]int32, n+n/2+8)
+	if n := len(e.dense); n > len(sc.masks) {
+		sc.masks = make([]uint32, n+n/2+8)
 	}
 	return sc
 }
@@ -406,33 +498,33 @@ func (e *Engine) MatchVisit(m *event.Message, fn func(*subscription.Subscription
 			}
 		}
 
-		// Counting path: credit the slots associated with each fulfilled
-		// predicate, then accept those that reached their pmin gate,
-		// evaluating the tree only when it has an OR. The dense counted
-		// array skips a predicate no counting-path tree holds (on a fully
-		// clustered table, every one) without loading its bucket; the
-		// dense gate array rejects a slot without loading its entry.
-		// Counters are reset on the way out so the scratch returns to its
-		// all-zero pool state.
+		// Counting path: each fulfilled predicate sets the conjunct bits
+		// it guards, then a slot whose mask is full is accepted, evaluating
+		// the tree only when it needs it. The dense counted array skips a
+		// predicate that guards nothing (on a fully clustered table, every
+		// one) without loading its bucket; the dense full array rejects a
+		// slot without loading its entry. Masks are reset on the way out so
+		// the scratch returns to its all-zero pool state.
 		counted, assoc := e.registry.counted, e.registry.assoc
 		for _, id := range sc.fullList {
 			if counted[id] == 0 {
 				continue
 			}
-			for _, slot := range assoc[id] {
-				if sc.counts[slot] == 0 {
+			for _, g := range assoc[id] {
+				slot := g >> conjBits
+				if sc.masks[slot] == 0 {
 					sc.touched = append(sc.touched, slot)
 				}
-				sc.counts[slot]++
+				sc.masks[slot] |= 1 << (uint32(g) & lastBit)
 			}
 		}
 		for _, slot := range sc.touched {
-			if sc.counts[slot] >= e.gate[slot] {
-				if se := e.dense[slot]; !se.hasOr || e.evalTree(sc, se) {
+			if sc.masks[slot] == e.full[slot] {
+				if se := e.dense[slot]; !se.needsEval || e.evalTree(sc, se) {
 					fn(se.sub)
 				}
 			}
-			sc.counts[slot] = 0
+			sc.masks[slot] = 0
 		}
 		sc.touched = sc.touched[:0]
 	}

@@ -1,7 +1,10 @@
 package filter
 
 import (
+	"fmt"
+	"math"
 	"sort"
+	"strings"
 	"testing"
 
 	"dimprune/internal/dist"
@@ -183,7 +186,7 @@ func TestUpdateReplacesTree(t *testing.T) {
 	}
 }
 
-func TestPMinGateUpdatedOnUpdate(t *testing.T) {
+func TestMaskGateUpdatedOnUpdate(t *testing.T) {
 	e := New()
 	e.Register(mustSub(t, 1, `a = 1 and b = 2 and c = 3`))
 	m := event.Build(1).Int("a", 1).Msg()
@@ -192,14 +195,15 @@ func TestPMinGateUpdatedOnUpdate(t *testing.T) {
 	}
 	e.Update(mustSub(t, 1, `a = 1`))
 	if e.MatchCount(m) != 1 {
-		t.Error("match missed after pmin-lowering update")
+		t.Error("match missed after a conjunct-dropping update")
 	}
 }
 
 func TestDuplicatePredicateWithinOneSubscription(t *testing.T) {
 	e := New()
-	// The same predicate appears in two OR branches; pmin is 2 and the
-	// counter must be credited once per occurrence.
+	// The same predicate guards both inner ANDs of the OR; either
+	// occurrence alone sets the one conjunct bit, so the tree evaluation
+	// decides.
 	e.Register(mustSub(t, 1, `(a = 1 and b = 2) or (a = 1 and c = 3)`))
 	if n := e.MatchCount(event.Build(1).Int("a", 1).Int("c", 3).Msg()); n != 1 {
 		t.Errorf("MatchCount = %d, want 1", n)
@@ -334,4 +338,212 @@ func TestEngineOracleAfterPruningUpdates(t *testing.T) {
 			}
 		}
 	}
+}
+
+// guardBits returns the conjunct bits predicate expr sets for se, read from
+// the association buckets.
+func guardBits(t *testing.T, e *Engine, se *subEntry, expr string) []int32 {
+	t.Helper()
+	var bits []int32
+	for _, entry := range e.registry.assoc[predOf(t, e, expr)] {
+		if entry>>conjBits == se.idx {
+			bits = append(bits, entry&lastBit)
+		}
+	}
+	return bits
+}
+
+func equalBits(a []int32, b ...int32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// expectMatches runs each message against e and compares the match set.
+func expectMatches(t *testing.T, e *Engine, cases map[*event.Message][]uint64) {
+	t.Helper()
+	for m, want := range cases {
+		if got := matchIDs(e, m); !equalIDs(got, want) {
+			t.Errorf("%s: Match = %v, want %v", m, got, want)
+		}
+	}
+}
+
+func TestMaskGateAndBelowOr(t *testing.T) {
+	e := New()
+	se := register(t, e, 1, `(a = 1 and f = 2) or b = 3`)
+	checkLayout(t, e)
+	if !se.needsEval || e.full[se.idx] != 1 {
+		t.Fatalf("needsEval %v, full %#x; want an evaluated one-conjunct tree", se.needsEval, e.full[se.idx])
+	}
+	if bits := guardBits(t, e, se, `f = 2`); len(bits) != 0 {
+		t.Fatalf("f = 2 sets bits %v; the second child of an AND below an OR guards nothing", bits)
+	}
+	if bits := guardBits(t, e, se, `a = 1`); !equalBits(bits, 0) {
+		t.Fatalf("a = 1 sets bits %v, want [0]", bits)
+	}
+	expectMatches(t, e, map[*event.Message][]uint64{
+		event.Build(1).Int("f", 2).Msg():             nil,
+		event.Build(2).Int("a", 1).Msg():             nil,
+		event.Build(3).Int("a", 1).Int("f", 2).Msg(): {1},
+		event.Build(4).Int("b", 3).Msg():             {1},
+	})
+}
+
+func TestMaskGateFlattensNestedAnd(t *testing.T) {
+	e := New()
+	// Registered as built, bypassing Simplify, so the engine itself must
+	// flatten the nested AND into the root's conjuncts.
+	root := subscription.And(
+		subscription.And(subscription.Ge("a", event.Int(1)), subscription.Ge("b", event.Int(1))),
+		subscription.Ge("c", event.Int(1)))
+	if err := e.Register(&subscription.Subscription{ID: 1, Root: root}); err != nil {
+		t.Fatal(err)
+	}
+	se := e.subs[1]
+	checkLayout(t, e)
+	if se.needsEval || e.full[se.idx] != 0b111 {
+		t.Fatalf("needsEval %v, full %#x; want an exact three-conjunct tree", se.needsEval, e.full[se.idx])
+	}
+	for i, expr := range []string{`a >= 1`, `b >= 1`, `c >= 1`} {
+		if bits := guardBits(t, e, se, expr); !equalBits(bits, int32(i)) {
+			t.Errorf("%s sets bits %v, want [%d]", expr, bits, i)
+		}
+	}
+	expectMatches(t, e, map[*event.Message][]uint64{
+		event.Build(1).Int("a", 1).Int("b", 1).Int("c", 1).Msg(): {1},
+		event.Build(2).Int("a", 1).Int("b", 1).Msg():             nil,
+		event.Build(3).Int("b", 1).Int("c", 1).Msg():             nil,
+	})
+}
+
+func TestMaskGateOrRoot(t *testing.T) {
+	e := New()
+	se := register(t, e, 1, `a >= 1 or b = 2 or c >= 3`)
+	checkLayout(t, e)
+	if se.access != -1 || se.needsEval || e.full[se.idx] != 1 {
+		t.Fatalf("access %d, needsEval %v, full %#x; want an exact one-conjunct counting tree",
+			se.access, se.needsEval, e.full[se.idx])
+	}
+	expectMatches(t, e, map[*event.Message][]uint64{
+		event.Build(1).Int("a", 1).Msg(): {1},
+		event.Build(2).Int("b", 2).Msg(): {1},
+		event.Build(3).Int("c", 3).Msg(): {1},
+		event.Build(4).Int("b", 3).Msg(): nil,
+	})
+}
+
+func TestMaskGatePredicateInTwoConjuncts(t *testing.T) {
+	e := New()
+	se := register(t, e, 1, `(a = 1 or b = 2) and (a = 1 or c >= 3)`)
+	checkLayout(t, e)
+	if se.needsEval || e.full[se.idx] != 0b11 {
+		t.Fatalf("needsEval %v, full %#x; want an exact two-conjunct tree", se.needsEval, e.full[se.idx])
+	}
+	if bits := guardBits(t, e, se, `a = 1`); !equalBits(bits, 0, 1) {
+		t.Fatalf("a = 1 sets bits %v, want [0 1]", bits)
+	}
+	expectMatches(t, e, map[*event.Message][]uint64{
+		event.Build(1).Int("a", 1).Msg():             {1},
+		event.Build(2).Int("b", 2).Msg():             nil,
+		event.Build(3).Int("b", 2).Int("c", 3).Msg(): {1},
+	})
+}
+
+func TestMaskGateSharedLastBit(t *testing.T) {
+	if (maxSlots-1)<<conjBits|lastBit != math.MaxInt32 {
+		t.Fatalf("the last slot's bucket entries do not fill an int32 exactly")
+	}
+	conjunction := func(n int) string {
+		terms := make([]string, n)
+		for i := range terms {
+			terms[i] = fmt.Sprintf("x%d >= 1", i)
+		}
+		return strings.Join(terms, " and ")
+	}
+	all := func(id uint64, n, skip int) *event.Message {
+		b := event.Build(id)
+		for i := 0; i < n; i++ {
+			if i != skip {
+				b.Int(fmt.Sprintf("x%d", i), 1)
+			}
+		}
+		return b.Msg()
+	}
+	e := New()
+	exact := register(t, e, 32, conjunction(32))
+	shared := register(t, e, 40, conjunction(40))
+	checkLayout(t, e)
+	if exact.needsEval || e.full[exact.idx] != ^uint32(0) {
+		t.Fatalf("32 conjuncts: needsEval %v, full %#x; want exact with every bit", exact.needsEval, e.full[exact.idx])
+	}
+	if !shared.needsEval || e.full[shared.idx] != ^uint32(0) {
+		t.Fatalf("40 conjuncts: needsEval %v, full %#x; want evaluated with every bit", shared.needsEval, e.full[shared.idx])
+	}
+	for _, i := range []int{31, 35, 39} {
+		if bits := guardBits(t, e, shared, fmt.Sprintf("x%d >= 1", i)); !equalBits(bits, 31) {
+			t.Errorf("x%d >= 1 sets bits %v of the 40-conjunct tree, want [31]", i, bits)
+		}
+	}
+	expectMatches(t, e, map[*event.Message][]uint64{
+		all(1, 40, -1): {32, 40},
+		all(2, 40, 35): {32}, // bit 31 is still set by x31..x34 and x36..x39
+		all(3, 40, 3):  nil,
+		all(4, 32, 31): nil,
+	})
+}
+
+func TestMaskGateUpdatePrunesConjunct(t *testing.T) {
+	e := New()
+	se := register(t, e, 1, `a >= 1 and (b = 1 or c = 1)`)
+	if e.full[se.idx] != 0b11 {
+		t.Fatalf("full %#x, want two conjuncts", e.full[se.idx])
+	}
+	root := subscription.PruneAt(se.sub.Root, se.sub.Root.Children[0])
+	if err := e.Update(&subscription.Subscription{ID: 1, Root: root}); err != nil {
+		t.Fatal(err)
+	}
+	checkLayout(t, e)
+	if se.needsEval || e.full[se.idx] != 1 {
+		t.Fatalf("after pruning a >= 1: needsEval %v, full %#x; want one exact conjunct", se.needsEval, e.full[se.idx])
+	}
+	expectMatches(t, e, map[*event.Message][]uint64{
+		event.Build(1).Int("b", 1).Msg(): {1},
+		event.Build(2).Int("a", 1).Msg(): nil,
+	})
+}
+
+func TestMaskGateUpdateMovesInnerGuard(t *testing.T) {
+	e := New()
+	se := register(t, e, 1, `(a >= 1 and f >= 2 and g >= 1) or b >= 3`)
+	inner := se.sub.Root.Children[0]
+	if bits := guardBits(t, e, se, `f >= 2`); len(bits) != 0 {
+		t.Fatalf("f >= 2 sets bits %v before the pruning", bits)
+	}
+	fg := event.Build(1).Int("f", 2).Int("g", 1).Msg()
+	expectMatches(t, e, map[*event.Message][]uint64{fg: nil})
+
+	// Pruning the inner AND's first child hands its guard to f >= 2.
+	root := subscription.PruneAt(se.sub.Root, inner.Children[0])
+	if err := e.Update(&subscription.Subscription{ID: 1, Root: root}); err != nil {
+		t.Fatal(err)
+	}
+	checkLayout(t, e)
+	if bits := guardBits(t, e, se, `f >= 2`); !equalBits(bits, 0) {
+		t.Fatalf("f >= 2 sets bits %v after the pruning, want [0]", bits)
+	}
+	if bits := guardBits(t, e, se, `g >= 1`); len(bits) != 0 {
+		t.Fatalf("g >= 1 sets bits %v; it is still not the first child", bits)
+	}
+	expectMatches(t, e, map[*event.Message][]uint64{
+		fg:                               {1},
+		event.Build(2).Int("f", 2).Msg(): nil,
+		event.Build(3).Int("b", 3).Msg(): {1},
+	})
 }

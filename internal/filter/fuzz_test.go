@@ -123,17 +123,20 @@ func oracleIDs(live map[uint64]*subscription.Subscription, m *event.Message) []u
 // checkLayout asserts that every registered entry sits on exactly one
 // path: clustered entries are OR-free, hang off one of their own
 // non-negated equality leaves at their stored position, and are barred
-// from the counting phase; counting entries are gated at their pmin and
-// are the only ones in the association buckets. The dense occupancy array
-// agrees with every bucket.
+// from the counting phase; counting entries have one full-mask bit per
+// top-level conjunct, are evaluated exactly when the mask cannot decide,
+// and the association buckets hold their guard occurrences and nothing
+// else. The dense occupancy array agrees with every bucket.
 func checkLayout(t *testing.T, e *Engine) {
 	t.Helper()
-	credits := 0
+	held := map[guard]int{} // bucket contents as a multiset
 	for id, bucket := range e.registry.assoc {
 		if got := e.registry.counted[id]; got != int32(len(bucket)) {
 			t.Fatalf("predicate %d: counted %d, bucket holds %d", id, got, len(bucket))
 		}
-		credits += len(bucket)
+		for _, entry := range bucket {
+			held[guard{predID(id), entry}]++
+		}
 	}
 	clustered := 0
 	for p, members := range e.clusters {
@@ -150,15 +153,33 @@ func checkLayout(t *testing.T, e *Engine) {
 			t.Fatalf("entry %d not at its dense slot %d", id, se.idx)
 		}
 		if se.access < 0 {
-			if want := int32(se.sub.PMin()); e.gate[se.idx] != want {
-				t.Fatalf("counting entry %d gated at %d, pmin %d", id, e.gate[se.idx], want)
+			conj := conjunctsOf(se.sub.Root)
+			full, andBelowOr, base := uint32(0), false, 0
+			for k, c := range conj {
+				bit := int32(min(k, 31))
+				full |= 1 << bit
+				andBelowOr = andBelowOr || subscription.ContainsAnd(c)
+				for _, off := range guardOffsets(c) {
+					g := guard{se.leafs[base+off], se.idx<<5 | bit}
+					if held[g] == 0 {
+						t.Fatalf("counting entry %d (%s): guard %s of conjunct %d not in its bucket",
+							id, se.sub.Root, e.registry.byID[g.id].pred, k)
+					}
+					held[g]--
+				}
+				base += c.NumLeaves()
 			}
-			credits -= len(se.leafs)
+			if e.full[se.idx] != full {
+				t.Fatalf("counting entry %d (%s): full %#x, want %#x", id, se.sub.Root, e.full[se.idx], full)
+			}
+			if want := andBelowOr || len(conj) > 32; se.needsEval != want {
+				t.Fatalf("counting entry %d (%s): needsEval %v, want %v", id, se.sub.Root, se.needsEval, want)
+			}
 			continue
 		}
 		clustered--
-		if se.hasOr || e.gate[se.idx] != noGate {
-			t.Fatalf("clustered entry %d: hasOr %v, gate %d", id, se.hasOr, e.gate[se.idx])
+		if se.needsEval || e.full[se.idx] != 0 {
+			t.Fatalf("clustered entry %d: needsEval %v, full %#x", id, se.needsEval, e.full[se.idx])
 		}
 		if p := e.registry.byID[se.access].pred; p.Op != subscription.OpEq || p.Negated {
 			t.Fatalf("entry %d clustered under %s", id, p)
@@ -174,9 +195,50 @@ func checkLayout(t *testing.T, e *Engine) {
 	if clustered != 0 {
 		t.Fatalf("clusters hold %d entries more than the table", clustered)
 	}
-	if credits != 0 {
-		t.Fatalf("association buckets hold %d occurrences more than the counting entries' leaves", credits)
+	for g, n := range held {
+		if n != 0 {
+			t.Fatalf("bucket of %s holds %d stray entries %#x", e.registry.byID[g.id].pred, n, g.entry)
+		}
 	}
+	for _, slot := range e.freeSubs {
+		if e.full[slot] != 0 {
+			t.Fatalf("free slot %d: full %#x", slot, e.full[slot])
+		}
+	}
+}
+
+// conjunctsOf flattens a root AND through nested ANDs into its top-level
+// conjuncts, in pre-order; any other root is one conjunct.
+func conjunctsOf(n *subscription.Node) []*subscription.Node {
+	if n.Kind != subscription.NodeAnd {
+		return []*subscription.Node{n}
+	}
+	var out []*subscription.Node
+	for _, c := range n.Children {
+		out = append(out, conjunctsOf(c)...)
+	}
+	return out
+}
+
+// guardOffsets returns the pre-order offsets, within n, of the leaves that
+// guard n: a leaf guards itself, an OR is guarded by its children's guards,
+// and an AND (below an OR) by its first child's.
+func guardOffsets(n *subscription.Node) []int {
+	switch n.Kind {
+	case subscription.NodeLeaf:
+		return []int{0}
+	case subscription.NodeAnd:
+		return guardOffsets(n.Children[0])
+	}
+	var out []int
+	base := 0
+	for _, c := range n.Children {
+		for _, off := range guardOffsets(c) {
+			out = append(out, base+off)
+		}
+		base += c.NumLeaves()
+	}
+	return out
 }
 
 // register registers expr under id and returns its entry.
@@ -274,10 +336,10 @@ func TestClusterRepeatedEquality(t *testing.T) {
 	if a := predOf(t, e, `a = 1`); se.access != a || len(e.clusters[a]) != 1 {
 		t.Fatalf("access %d, cluster of a = 1 holds %d entries; want the entry once", se.access, len(e.clusters[a]))
 	}
-	// The same repetition on the counting path credits twice against a
-	// pmin of two, and matching needs no tree evaluation.
-	if se := register(t, e, 2, `x >= 1 and x >= 1`); se.access != -1 || se.hasOr || e.gate[se.idx] != 2 {
-		t.Fatalf("counting entry: access %d, hasOr %v, gate %d", se.access, se.hasOr, e.gate[se.idx])
+	// The same repetition on the counting path is two conjuncts, each
+	// guarded by its own occurrence, and matching needs no tree evaluation.
+	if se := register(t, e, 2, `x >= 1 and x >= 1`); se.access != -1 || se.needsEval || e.full[se.idx] != 0b11 {
+		t.Fatalf("counting entry: access %d, needsEval %v, full %#x", se.access, se.needsEval, e.full[se.idx])
 	}
 	if got := e.Associations(); got != 5 {
 		t.Errorf("Associations = %d, want 5 (repeats count)", got)

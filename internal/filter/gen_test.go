@@ -38,9 +38,13 @@ func randomPredicate(r *dist.RNG) subscription.Predicate {
 }
 
 // randomTree returns a random NNF tree. One subtree in five is an
-// equality-only conjunction, the shape the engine clusters.
+// equality-only conjunction, the shape the engine clusters, and one in
+// fifty a conjunction wide enough to run out of conjunct bits.
 func randomTree(r *dist.RNG, maxDepth int) *subscription.Node {
-	if r.Bool(0.2) {
+	switch u := r.Float64(); {
+	case u < 0.02:
+		return wideConjunction(r)
+	case u < 0.22:
 		return eqConjunction(r)
 	}
 	if maxDepth <= 0 || r.Bool(0.4) {
@@ -76,6 +80,33 @@ func eqConjunction(r *dist.RNG) *subscription.Node {
 	}
 	if len(children) == 1 {
 		return children[0]
+	}
+	return subscription.And(children...)
+}
+
+// wideConjunction returns an AND of 30 to 40 leaves, so that past 32
+// top-level conjuncts several share the last mask bit. Most leaves are
+// existence tests, which random messages often fulfil together, so these
+// trees match now and then; an OR child, sometimes with an AND below it,
+// keeps some of them on the counting path despite an equality leaf.
+func wideConjunction(r *dist.RNG) *subscription.Node {
+	n := r.IntRange(30, 40)
+	children := make([]*subscription.Node, 0, n)
+	for len(children) < n {
+		attr := testAttrs[r.Intn(len(testAttrs))]
+		switch u := r.Float64(); {
+		case u < 0.05:
+			children = append(children, subscription.Or(
+				subscription.And(subscription.Exists(attr), subscription.Leaf(randomPredicate(r))),
+				subscription.Leaf(randomPredicate(r))))
+		case u < 0.1:
+			children = append(children, subscription.Or(
+				subscription.Exists(attr), subscription.Leaf(randomPredicate(r))))
+		case u < 0.2:
+			children = append(children, subscription.Leaf(randomPredicate(r)))
+		default:
+			children = append(children, subscription.Exists(attr))
+		}
 	}
 	return subscription.And(children...)
 }

@@ -18,10 +18,11 @@ type predEntry struct {
 //
 // Every leaf occurrence of every registered tree holds one reference
 // (intern/release); a predicate lives while any tree references it. Only
-// counting-path trees also enter the association buckets: assoc[predID]
-// lists the dense subscription slots holding a leaf occurrence of the
-// predicate, one entry per occurrence, so a predicate appearing twice in
-// one tree credits its counter twice (pmin counts leaf occurrences).
+// the guard leaves of counting-path trees also enter the association
+// buckets: assoc[predID] holds one packed slot<<conjBits | bit entry per
+// guard occurrence of the predicate, so a predicate guarding two
+// conjuncts of one tree sets both bits. A leaf that guards nothing (a
+// non-first child of an AND below an OR) holds its reference only.
 // counted[predID] mirrors len(assoc[predID]) in a dense array, so the
 // counting phase skips the (common) empty buckets with one 4-byte load
 // instead of a slice-header load.
@@ -31,7 +32,7 @@ type predEntry struct {
 type registry struct {
 	byPred  map[subscription.Predicate]predID
 	byID    []predEntry
-	assoc   [][]int32 // predID -> dense subscription slots
+	assoc   [][]int32 // predID -> packed guard entries
 	counted []int32   // predID -> len(assoc[predID])
 	freeID  []predID
 	live    int // distinct predicates currently referenced
@@ -87,18 +88,18 @@ func (r *registry) release(id predID) (p subscription.Predicate, gone bool) {
 	return ent.pred, false
 }
 
-// associate records that the counting-path subscription at dense index
-// slot holds one leaf occurrence of predicate id.
-func (r *registry) associate(id predID, slot int32) {
-	r.assoc[id] = append(r.assoc[id], slot)
+// associate records one guard occurrence of predicate id as its packed
+// bucket entry.
+func (r *registry) associate(id predID, entry int32) {
+	r.assoc[id] = append(r.assoc[id], entry)
 	r.counted[id]++
 }
 
-// dissociate removes one leaf occurrence recorded by associate.
-func (r *registry) dissociate(id predID, slot int32) {
+// dissociate removes one entry recorded by associate.
+func (r *registry) dissociate(id predID, entry int32) {
 	bucket := r.assoc[id]
 	for i, x := range bucket {
-		if x == slot {
+		if x == entry {
 			last := len(bucket) - 1
 			bucket[i] = bucket[last]
 			r.assoc[id] = bucket[:last]

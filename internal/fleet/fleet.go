@@ -462,19 +462,37 @@ func (c *Coordinator) scatter(m *event.Message) ([]broker.Delivery, []string) {
 	}
 
 	var failed []string
+	total, answered := 0, 0
+	for i, ids := range results {
+		if errs[i] == nil && len(ids) > 0 {
+			total += len(ids)
+			answered++
+		}
+	}
 	var dels []broker.Delivery
-	seen := make(map[uint64]struct{})
+	if total > 0 {
+		dels = make([]broker.Delivery, 0, total)
+	}
+	// One shard's match IDs are unique; only a subscription mid-move
+	// (make-before-break) can match on two shards, so the dedupe set is
+	// built only when more than one shard matched anything.
+	var seen map[uint64]struct{}
+	if answered > 1 {
+		seen = make(map[uint64]struct{}, total)
+	}
 	for i, ids := range results {
 		if errs[i] != nil {
 			failed = append(failed, names[i])
 			continue
 		}
 		for _, id := range ids {
-			if _, dup := seen[id]; dup {
-				c.deduped.Add(1)
-				continue
+			if seen != nil {
+				if _, dup := seen[id]; dup {
+					c.deduped.Add(1)
+					continue
+				}
+				seen[id] = struct{}{}
 			}
-			seen[id] = struct{}{}
 			s := c.subs[id]
 			if s == nil {
 				continue // retracted while the shard still held it

@@ -8,6 +8,7 @@ import (
 	"dimprune/internal/broker"
 	"dimprune/internal/event"
 	"dimprune/internal/subscription"
+	"dimprune/internal/wire"
 )
 
 func mustSub(t *testing.T, id uint64, subscriber, expr string) *subscription.Subscription {
@@ -270,5 +271,104 @@ func TestRemoteShardRoundTrip(t *testing.T) {
 	}
 	if len(dels) != 30 {
 		t.Fatalf("after remote death: %d deliveries, want 30", len(dels))
+	}
+}
+
+// fakeShard advertises one catch-all cover on Sync and answers every
+// publish with a fixed ID list, whatever it holds: enough to stage a
+// double placement, and to measure the gather path without a broker
+// behind it.
+type fakeShard struct {
+	name  string
+	cover uint64
+	ids   []uint64
+}
+
+func (f *fakeShard) Name() string { return f.name }
+func (f *fakeShard) Subscribe(*subscription.Subscription) ([]wire.Frame, error) {
+	return nil, nil
+}
+func (f *fakeShard) Unsubscribe(uint64) ([]wire.Frame, error) { return nil, nil }
+func (f *fakeShard) Publish(*event.Message) ([]uint64, error) { return f.ids, nil }
+func (f *fakeShard) Close() error                             { return nil }
+func (f *fakeShard) Sync() ([]wire.Frame, error) {
+	s, err := subscription.New(f.cover, "", subscription.MustParse(`x > 0`))
+	if err != nil {
+		return nil, err
+	}
+	return []wire.Frame{{Type: wire.FrameSubscribe, Sub: s}}, nil
+}
+
+// newFakeFleet joins one fake shard per ID list and subscribes every ID
+// the lists name.
+func newFakeFleet(t *testing.T, lists ...[]uint64) *Coordinator {
+	t.Helper()
+	c := NewCoordinator()
+	for i, ids := range lists {
+		if err := c.AddShard(&fakeShard{name: fmt.Sprintf("f%d", i), cover: uint64(1000 + i), ids: ids}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, ids := range lists {
+		for _, id := range ids {
+			if err := c.Subscribe(mustSub(t, id, fmt.Sprintf("u%d", id), `x > 0`)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return c
+}
+
+// TestFleetGatherDedupesDoublePlacement stages the make-before-break
+// window: two shards both answer for subscription 7. It must be delivered
+// once and counted as deduped.
+func TestFleetGatherDedupesDoublePlacement(t *testing.T) {
+	c := newFakeFleet(t, []uint64{7, 8}, []uint64{7})
+	defer c.Close()
+	dels, err := c.Publish(event.Build(1).Int("x", 1).Msg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[uint64]int{}
+	for _, d := range dels {
+		got[d.SubID]++
+	}
+	if len(dels) != 2 || got[7] != 1 || got[8] != 1 {
+		t.Fatalf("deliveries %v, want 7 and 8 once each", got)
+	}
+	if st := c.Stats(); st.Deduped != 1 || st.ShardPublishes != 2 {
+		t.Fatalf("deduped %d over %d shard publishes, want 1 over 2", st.Deduped, st.ShardPublishes)
+	}
+}
+
+// TestFleetGatherOneShardAllocs pins the gather path's garbage when one
+// shard answers: the deliveries are allocated once at their final size
+// and no dedupe set is built, so a publish matching 20 subscriptions
+// allocates no more than one matching a single subscription.
+func TestFleetGatherOneShardAllocs(t *testing.T) {
+	ids := make([]uint64, 20)
+	for i := range ids {
+		ids[i] = uint64(i + 1)
+	}
+	c := newFakeFleet(t, ids)
+	defer c.Close()
+	shard := c.shards["f0"].(*fakeShard)
+	m := event.Build(1).Int("x", 1).Msg()
+	allocsFor := func(n int) float64 {
+		shard.ids = ids[:n]
+		return testing.AllocsPerRun(100, func() {
+			if dels, err := c.Publish(m); err != nil || len(dels) != n {
+				t.Fatalf("deliveries %d, err %v; want %d", len(dels), err, n)
+			}
+		})
+	}
+	one, many := allocsFor(1), allocsFor(len(ids))
+	if many != one {
+		t.Errorf("%.0f allocs per publish matching %d, %.0f matching one: the gather grows", many, len(ids), one)
+	}
+	// The candidate set, shard names, per-shard results and errors, and the
+	// deliveries; the compiler keeps some on the stack outside -race.
+	if one > 5 {
+		t.Errorf("%.0f allocs per one-shard publish, want at most 5", one)
 	}
 }
