@@ -21,9 +21,6 @@ import (
 //   - op=resync: a fresh link's full routing replay (AddLink → SyncFrames
 //     → DropLink) — link recovery replays the advertisement set, not the
 //     table, so frames/resync is the O(covers) claim for link death.
-//
-// BENCH_6.json records this trajectory; CI re-measures a reduced slice on
-// every run (bench-covering job).
 func BenchmarkControlPlane(b *testing.B) {
 	const brokers = 3
 	for _, name := range workload.Names() {

@@ -83,9 +83,6 @@ func TestSentinelErrors(t *testing.T) {
 	if _, err := ps.Publish(nil); !errors.Is(err, ErrNilMessage) {
 		t.Errorf("Publish(nil) = %v, want ErrNilMessage", err)
 	}
-	if _, err := ps.PublishBatch([]*Message{NewEvent(1).Int("x", 1).Msg(), nil}); !errors.Is(err, ErrNilMessage) {
-		t.Errorf("PublishBatch(…, nil) = %v, want ErrNilMessage", err)
-	}
 	if err := ps.Close(); err != nil {
 		t.Fatal(err)
 	}

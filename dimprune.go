@@ -47,8 +47,8 @@
 //
 //   - Subscriptions and events: Parse / builders (Eq, And, Or …), NewEvent.
 //   - Embedded: single-process concurrent matcher for applications
-//     (NewEmbedded); Publish and PublishBatch are safe from any number of
-//     goroutines, and each subscription's Handle owns its delivery.
+//     (NewEmbedded); Publish is safe from any number of goroutines, and
+//     each subscription's Handle owns its delivery.
 //   - Simulation: deterministic broker overlays (NewLineOverlay) used by the
 //     paper's experiments (RunCentralized / RunDistributed).
 //   - Networked: TCP broker servers and clients (NewServer, DialBroker),

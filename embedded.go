@@ -91,7 +91,6 @@ type publishBuffers struct {
 
 // matchRef is one match collected under the broker's routing lock.
 type matchRef struct {
-	batchIdx   int
 	subID      uint64
 	subscriber string
 }
@@ -263,40 +262,6 @@ func (e *Embedded) Publish(m *Message) (int, error) {
 	}
 	for i, h := range pb.targets {
 		h.deliver(Notification{Subscriber: pb.refs[i].subscriber, SubID: pb.refs[i].subID, Msg: m})
-	}
-	return matches, nil
-}
-
-// PublishBatch publishes a burst of events in order, returning the total
-// match count. The broker holds its shared routing lock once for the whole
-// burst, which amortizes the handoff under bursty load; delivery then
-// proceeds per event in batch order.
-func (e *Embedded) PublishBatch(ms []*Message) (int, error) {
-	for _, m := range ms {
-		if m == nil {
-			return 0, ErrNilMessage
-		}
-	}
-	if e.wal != nil {
-		// Same write-ahead rule as Publish, event by event in batch order.
-		for _, m := range ms {
-			if _, err := e.wal.AppendMessage(m); err != nil {
-				return 0, err
-			}
-		}
-	}
-	pb := e.scratch()
-	defer e.release(pb)
-	e.b.MatchEntriesBatch(ms, func(i int, subID uint64, subscriber string) {
-		pb.refs = append(pb.refs, matchRef{batchIdx: i, subID: subID, subscriber: subscriber})
-	})
-	matches := len(pb.refs)
-	if err := e.resolve(pb); err != nil {
-		return 0, err
-	}
-	for i, h := range pb.targets {
-		r := pb.refs[i]
-		h.deliver(Notification{Subscriber: r.subscriber, SubID: r.subID, Msg: ms[r.batchIdx]})
 	}
 	return matches, nil
 }

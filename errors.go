@@ -8,7 +8,6 @@ var (
 	// retired subscription handle.
 	ErrClosed = errors.New("dimprune: closed")
 
-	// ErrNilMessage reports a nil *Message passed to Publish or
-	// PublishBatch.
+	// ErrNilMessage reports a nil *Message passed to Publish.
 	ErrNilMessage = errors.New("dimprune: nil message")
 )

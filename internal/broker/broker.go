@@ -67,17 +67,16 @@ type Delivery struct {
 	Msg        *event.Message
 }
 
-// Router is the seam a session server drives: the four calls a client
+// Router is the seam a session server drives: the three calls a client
 // session turns into. Outgoing frames go to neighbor links, deliveries to
 // local subscribers. *Broker satisfies it as is; a fleet coordinator
 // satisfies it with no neighbor links, so its Outgoing is always empty.
-// Everything a subscriber can observe is decided behind these four calls
+// Everything a subscriber can observe is decided behind these three calls
 // and in the one server that makes them.
 type Router interface {
 	SubscribeLocal(s *subscription.Subscription) ([]Outgoing, error)
 	UnsubscribeLocal(id uint64) ([]Outgoing, error)
 	PublishLocal(m *event.Message) ([]Outgoing, []Delivery)
-	PublishLocalBatch(ms []*event.Message) ([]Outgoing, []Delivery)
 }
 
 // Outgoing is one frame to transmit on a neighbor link.
@@ -659,27 +658,6 @@ func (b *Broker) PublishLocal(m *event.Message) ([]Outgoing, []Delivery) {
 	return b.route(m, LocalLink)
 }
 
-// PublishLocalBatch routes a burst of locally injected events under one
-// lock acquisition, concatenating the outgoing frames and deliveries in
-// batch order. Transports use it to amortize the shared-lock handoff when
-// publishers send bursts.
-func (b *Broker) PublishLocalBatch(ms []*event.Message) ([]Outgoing, []Delivery) {
-	if len(ms) == 0 {
-		return nil, nil
-	}
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	var out []Outgoing
-	var dels []Delivery
-	for _, m := range ms {
-		b.counters.EventsPublished.Add(1)
-		o, d := b.route(m, LocalLink)
-		out = append(out, o...)
-		dels = append(dels, d...)
-	}
-	return out, dels
-}
-
 // HandlePublish routes an event forwarded by a neighbor (post-filtering:
 // the event is matched again against this broker's routing table).
 func (b *Broker) HandlePublish(from LinkID, m *event.Message) ([]Outgoing, []Delivery, error) {
@@ -806,32 +784,6 @@ func (b *Broker) MatchEntries(m *event.Message, fn func(subID uint64, subscriber
 	b.counters.AddFilterTime(time.Since(start))
 	b.counters.EventsFiltered.Add(1)
 	b.counters.MatchedEntries.Add(uint64(matched))
-}
-
-// MatchEntriesBatch runs MatchEntries for a burst of events under a single
-// shared-lock acquisition, invoking fn with the batch index of the matched
-// event. Single-broker deployments use it as their batched dispatch
-// primitive.
-func (b *Broker) MatchEntriesBatch(ms []*event.Message, fn func(i int, subID uint64, subscriber string)) {
-	if len(ms) == 0 {
-		return
-	}
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	for i, m := range ms {
-		if b.observe {
-			b.model.Observe(m)
-		}
-		start := time.Now()
-		matched := 0
-		b.table.MatchVisit(m, func(s *subscription.Subscription) {
-			matched++
-			fn(i, s.ID, s.Subscriber)
-		})
-		b.counters.AddFilterTime(time.Since(start))
-		b.counters.EventsFiltered.Add(1)
-		b.counters.MatchedEntries.Add(uint64(matched))
-	}
 }
 
 // DeliveryMeter returns entry id's delivery meter, or nil for an unknown

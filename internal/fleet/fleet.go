@@ -146,17 +146,9 @@ func (c *Coordinator) RemoveShard(name string) error {
 	return c.removeLocked(name)
 }
 
-// KillShard retracts a dead shard: like RemoveShard, but the shard is
-// assumed unreachable — nothing is sent to it, its advertisements are
-// dropped, and its retained subscriptions are redistributed to the
-// survivors. The chaos plane and the publish path's failure handling both
-// land here.
-func (c *Coordinator) KillShard(name string) error {
-	return c.RemoveShard(name)
-}
-
 // removeLocked drops a shard and redistributes its subscriptions. The
 // shard may already be dead, so every call into it is best-effort.
+//
 //dimlint:locked
 func (c *Coordinator) removeLocked(name string) error {
 	sh := c.shards[name]
@@ -190,6 +182,7 @@ func (c *Coordinator) removeLocked(name string) error {
 // make-before-break: subscribe on the gaining shard, then retract from the
 // losing one. The gather path dedupes by subscription ID, so the
 // double-placement window cannot double-deliver.
+//
 //dimlint:locked
 func (c *Coordinator) rebalanceLocked() error {
 	ids := make([]uint64, 0, len(c.placed))
@@ -217,6 +210,7 @@ func (c *Coordinator) rebalanceLocked() error {
 
 // placeLocked subscribes c.subs[id] on its ring owner, retrying over
 // survivor shards when the owner fails mid-placement.
+//
 //dimlint:locked
 func (c *Coordinator) placeLocked(id uint64) error {
 	s := c.subs[id]
@@ -243,6 +237,7 @@ func (c *Coordinator) placeLocked(id uint64) error {
 
 // unplaceLocked retracts a subscription from a shard, best-effort: a
 // failing holder is handled when the next operation touches it.
+//
 //dimlint:locked
 func (c *Coordinator) unplaceLocked(id uint64, name string) {
 	sh := c.shards[name]
@@ -260,6 +255,7 @@ func (c *Coordinator) unplaceLocked(id uint64, name string) {
 // index. Subscribe frames advertise an ID on that shard (the first
 // advertiser registers it in the index); unsubscribe frames retract the
 // advertisement, unregistering when no shard advertises the ID anymore.
+//
 //dimlint:locked
 func (c *Coordinator) applyFramesLocked(name string, frames []wire.Frame) {
 	for _, f := range frames {
@@ -288,6 +284,7 @@ func (c *Coordinator) applyFramesLocked(name string, frames []wire.Frame) {
 
 // dropAdvertsLocked removes every advertisement a shard holds in the
 // scatter index (shard death: its frames will never arrive).
+//
 //dimlint:locked
 func (c *Coordinator) dropAdvertsLocked(name string) {
 	for id, set := range c.owner {
@@ -374,7 +371,7 @@ func (c *Coordinator) Publish(m *event.Message) ([]broker.Delivery, error) {
 	}
 }
 
-// The four methods below make the coordinator a broker.Router, so the
+// The three methods below make the coordinator a broker.Router, so the
 // transport server runs client sessions over a fleet exactly as over one
 // broker — down to the errors: a session sees what Broker.SubscribeLocal
 // and UnsubscribeLocal would tell it. A fleet has no neighbor links: the
@@ -401,17 +398,6 @@ func (c *Coordinator) UnsubscribeLocal(id uint64) ([]broker.Outgoing, error) {
 // nil message, which the session server never passes.
 func (c *Coordinator) PublishLocal(m *event.Message) ([]broker.Outgoing, []broker.Delivery) {
 	dels, _ := c.Publish(m)
-	return nil, dels
-}
-
-// PublishLocalBatch publishes a burst in order, concatenating the
-// deliveries event by event.
-func (c *Coordinator) PublishLocalBatch(ms []*event.Message) ([]broker.Outgoing, []broker.Delivery) {
-	var dels []broker.Delivery
-	for _, m := range ms {
-		d, _ := c.Publish(m)
-		dels = append(dels, d...)
-	}
 	return nil, dels
 }
 

@@ -377,9 +377,7 @@ func (c *Client) Publish(m *event.Message) error {
 // carries one publish frame per event and the server routes each frame as
 // it arrives — but on a stream connection the whole burst is written
 // through the buffered writer under one lock acquisition and flushed once,
-// so a batch of n events costs one syscall-sized write, not n. Server-side
-// lock amortization happens where the batch stays intact — Server.
-// PublishBatch and Embedded.PublishBatch.
+// so a batch of n events costs one syscall-sized write, not n.
 func (c *Client) PublishBatch(ms []*event.Message) error {
 	if len(ms) == 0 {
 		return nil

@@ -78,10 +78,9 @@ func stressMessage(r *dist.RNG, id uint64) *event.Message {
 	return b.Msg()
 }
 
-// TestConcurrentPublishStress hammers a two-broker overlay: publishers on
-// broker B run Publish and PublishBatch from many goroutines while broker
-// A's subscription set churns and B's routing entries are pruned, all
-// concurrently. Stable subscriptions (registered before traffic, never
+// TestConcurrentPublishStress hammers a two-broker overlay: many
+// goroutines publish on broker B while broker A's subscription set churns
+// and B's routing entries are pruned, all concurrently. Stable subscriptions (registered before traffic, never
 // touched) must receive exactly the deliveries a serial filter engine
 // computes for the same workload: pruning on B may over-forward, but A
 // post-filters its local entries exactly, so end-to-end delivery stays
@@ -195,7 +194,6 @@ func TestConcurrentPublishStress(t *testing.T) {
 	// Concurrent phase: publishers, subscription churn, pruning, stats.
 	const publishers = 4
 	const eventsPerPublisher = 250
-	const batchSize = 16
 
 	var evMu sync.Mutex
 	var published []*event.Message
@@ -207,23 +205,13 @@ func TestConcurrentPublishStress(t *testing.T) {
 			defer wg.Done()
 			pr := dist.New(uint64(7000 + p))
 			base := uint64((p + 1) * 1000000)
-			batch := make([]*event.Message, 0, batchSize)
 			for i := 0; i < eventsPerPublisher; i++ {
 				m := stressMessage(pr, base+uint64(i))
 				evMu.Lock()
 				published = append(published, m)
 				evMu.Unlock()
-				if p%2 == 0 {
-					srvB.Publish(m)
-					continue
-				}
-				batch = append(batch, m)
-				if len(batch) == batchSize {
-					srvB.PublishBatch(batch)
-					batch = batch[:0]
-				}
+				srvB.Publish(m)
 			}
-			srvB.PublishBatch(batch)
 		}(p)
 	}
 

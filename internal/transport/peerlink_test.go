@@ -175,28 +175,39 @@ func TestPeerReconnectRestoresRouting(t *testing.T) {
 }
 
 func TestShutdownWithSilentPendingConnection(t *testing.T) {
-	s, _ := newPeerServer(t, "a")
-	addr, err := s.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A peer that connects and never sends a first frame (port scanner,
-	// half-open connection) must not hang Shutdown.
-	conn, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	time.Sleep(10 * time.Millisecond) // let the accept goroutine park in Recv
-	done := make(chan struct{})
-	go func() {
-		s.Shutdown()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Shutdown hung on a silent pre-handshake connection")
+	// A peer or client that connects and never sends a first frame (port
+	// scanner, half-open connection) must not hang Shutdown, on either
+	// listener.
+	for _, tc := range []struct {
+		name   string
+		listen func(*Server, string) (string, error)
+	}{
+		{"Listen", (*Server).Listen},
+		{"ListenClients", (*Server).ListenClients},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, _ := newPeerServer(t, "a")
+			addr, err := tc.listen(s, "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			conn, err := Dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			time.Sleep(10 * time.Millisecond) // let the accept goroutine park in Recv
+			done := make(chan struct{})
+			go func() {
+				s.Shutdown()
+				close(done)
+			}()
+			select {
+			case <-done:
+			case <-time.After(5 * time.Second):
+				t.Fatal("Shutdown hung on a silent pre-handshake connection")
+			}
+		})
 	}
 }
 

@@ -579,20 +579,6 @@ func (s *Server) Publish(m *event.Message) {
 	s.dispatch(out, dels)
 }
 
-// PublishBatch injects a burst of local events under one broker lock
-// acquisition and one dispatch pass, amortizing the per-event handoff costs
-// for bursty publishers. Deliveries and forwards preserve batch order.
-func (s *Server) PublishBatch(ms []*event.Message) {
-	if len(ms) == 0 || s.isClosed() {
-		return
-	}
-	for _, m := range ms {
-		s.logEvent(m)
-	}
-	out, dels := s.r.PublishLocalBatch(ms)
-	s.dispatch(out, dels)
-}
-
 // Prune applies up to n pruning steps (exclusive with routing, inside the
 // broker).
 func (s *Server) Prune(n int) int {
@@ -779,12 +765,23 @@ func (s *Server) Listen(addr string) (string, error) {
 // session is then attached under that name.
 func (s *Server) ListenClients(addr string) (string, error) {
 	return s.listen(addr, func(conn Conn) {
-		f, err := conn.Recv()
-		if err != nil || f.Type != wire.FrameHello {
+		// Track the connection while it owes its hello, as classifyAccepted
+		// does: a client that connects and sends nothing must not survive
+		// Shutdown.
+		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
 			_ = conn.Close()
 			return
 		}
-		if err := s.AttachClient(f.Subscriber, conn); err != nil {
+		s.pending[conn] = struct{}{}
+		s.mu.Unlock()
+		f, err := conn.Recv()
+		// Attach before unpending, so Shutdown always sees the connection.
+		attached := err == nil && f.Type == wire.FrameHello &&
+			s.AttachClient(f.Subscriber, conn) == nil
+		s.unpend(conn)
+		if !attached {
 			_ = conn.Close()
 		}
 	})

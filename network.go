@@ -164,8 +164,7 @@ func overlaySize(edges []OverlayEdge) (int, error) {
 // Server runs one broker over real connections (TCP or in-memory pipes) as
 // a concurrent pipeline: connection readers decode frames, publishes route
 // concurrently through the broker's shared data plane, and per-peer
-// outboxes drain in order. Use Server.PublishBatch to amortize lock
-// handoff under bursty load.
+// outboxes drain in order.
 type Server = transport.Server
 
 // Conn is a frame-oriented bidirectional connection.
@@ -283,7 +282,10 @@ func NewNetworkedOverlay(edges []OverlayEdge, dim Dimension, onDeliver func(atBr
 	if err != nil {
 		return nil, nil, err
 	}
-	o := applyOverlayOptions(opts)
+	brokers, err := newOverlayBrokers(n, dim, applyOverlayOptions(opts))
+	if err != nil {
+		return nil, nil, err
+	}
 	servers := make([]*Server, 0, n)
 	shutdown := func() {
 		for _, s := range servers {
@@ -291,18 +293,7 @@ func NewNetworkedOverlay(edges []OverlayEdge, dim Dimension, onDeliver func(atBr
 		}
 	}
 	addrs := make([]string, n)
-	for i := 0; i < n; i++ {
-		b, err := broker.New(broker.Config{
-			ID:              fmt.Sprintf("b%d", i),
-			Dimension:       dim,
-			ObserveEvents:   true,
-			DisableCovering: o.disableCovering,
-		})
-		if err != nil {
-			shutdown()
-			return nil, nil, err
-		}
-		i := i
+	for i, b := range brokers {
 		var sink func(Delivery)
 		if onDeliver != nil {
 			sink = func(d Delivery) { onDeliver(i, d) }
