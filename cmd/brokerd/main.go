@@ -1,7 +1,7 @@
 // Command brokerd runs a single publish/subscribe broker over TCP.
 //
 // Brokers form an acyclic overlay: each broker listens for neighbor links
-// and dials the peers listed on its command line (list each edge on exactly
+// and dials the peers named by its -peer flags (list each edge on exactly
 // one side). Clients connect to the client port, introduce themselves with
 // a hello frame, and then subscribe/publish (see transport.Client).
 //
@@ -14,9 +14,12 @@
 // -peer (repeatable) opens a managed peer link: the brokers handshake,
 // refuse edges that would close an overlay cycle, replay their routing
 // tables to each other, and the dialing side automatically reconnects and
-// resyncs when the link drops. The legacy -peers list attaches raw links
-// with none of that (no handshake, no reconnect); its link IDs are stable
-// in flag order, which -snapshot restore relies on.
+// resyncs when the link drops. -listen admits only such peers. After a
+// restart a broker relearns its remote routing entries from its neighbors'
+// resync, and durable subscriptions replay from -wal-dir. A restart can
+// reach a neighbor before it has noticed the old link die, and the
+// neighbor refuses it as a cycle until then, so startup retries a refused
+// -peer for a few seconds before it gives up.
 //
 // With -prune-every set, the broker periodically applies a batch of
 // prunings to its non-local routing entries using the selected dimension.
@@ -33,14 +36,15 @@
 //	brokerd -id s1 -fleet-serve :9001
 //	brokerd -id coord -fleet 127.0.0.1:9000,127.0.0.1:9001 -clients :8000
 //
-// -fleet is exclusive with the overlay flags (-listen, -peer, -peers,
-// -snapshot): shards hold partitions as local entries, so a coordinator is
-// not an overlay node. Client sessions are served by the same code in both
-// modes, so -wal-dir durables, delivery policies and protocol-error handling
-// work against a coordinator exactly as against a single broker.
+// -fleet is exclusive with the overlay flags (-listen, -peer): shards hold
+// partitions as local entries, so a coordinator is not an overlay node.
+// Client sessions are served by the same code in both modes, so -wal-dir
+// durables, delivery policies and protocol-error handling work against a
+// coordinator exactly as against a single broker.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -73,12 +77,10 @@ func run(args []string, stop <-chan os.Signal) error {
 		id         = fs.String("id", "broker", "broker name for logs")
 		listen     = fs.String("listen", "", "address for neighbor-broker links (empty: none)")
 		clients    = fs.String("clients", "", "address for client sessions (empty: none)")
-		peers      = fs.String("peers", "", "comma-separated neighbor addresses to attach as raw links (legacy: no handshake, no reconnect)")
 		dimension  = fs.String("dimension", "sel", "pruning dimension: sel, eff, mem")
 		pruneEvery = fs.Duration("prune-every", 0, "interval between pruning batches (0: never prune)")
 		pruneBatch = fs.Int("prune-batch", 100, "prunings per batch")
 		statsEvery = fs.Duration("stats-every", time.Minute, "interval between stats log lines (0: never)")
-		snapshot   = fs.String("snapshot", "", "routing-table snapshot file: loaded on start if present, written on shutdown")
 		covering   = fs.Bool("covering", true, "covering forest on the control plane (off = forward every subscription to every peer)")
 		walDir     = fs.String("wal-dir", "", "event-log directory for durable subscriptions (empty: durables disabled)")
 		walFsync   = fs.Bool("wal-fsync", false, "fsync each event-log append (stronger crash durability, much slower)")
@@ -91,8 +93,8 @@ func run(args []string, stop <-chan os.Signal) error {
 		return err
 	}
 
-	if *fleetAddrs != "" && (*listen != "" || *peers != "" || len(peerAddrs) > 0 || *fleetServe != "" || *snapshot != "") {
-		return fmt.Errorf("-fleet (coordinator mode) excludes -listen, -peer, -peers, -fleet-serve, and -snapshot")
+	if *fleetAddrs != "" && (*listen != "" || len(peerAddrs) > 0 || *fleetServe != "") {
+		return fmt.Errorf("-fleet (coordinator mode) excludes -listen, -peer, and -fleet-serve")
 	}
 
 	var dim core.Dimension
@@ -175,32 +177,15 @@ func run(args []string, stop <-chan os.Signal) error {
 			*walDir, len(w.Names()), w.LastSeq(), *walFsync)
 	}
 
-	// Dial static raw links first: their link IDs follow flag order, which
-	// is what makes snapshot restore stable across restarts. Managed peer
-	// links and listeners come afterwards; those links get higher IDs.
-	for _, p := range strings.Split(*peers, ",") {
-		p = strings.TrimSpace(p)
-		if p == "" {
-			continue
-		}
-		if _, err := srv.DialLink(p); err != nil {
-			return fmt.Errorf("dial peer %s: %w", p, err)
-		}
-		logger.Printf("linked to %s", p)
-	}
-	if *snapshot != "" {
-		if err := loadSnapshot(b, *snapshot, logger); err != nil {
-			return err
-		}
-	}
 	// Managed peer links: handshake (acyclicity check), state replay, and
-	// reconnect-with-resync on loss. A refused or unreachable peer fails
-	// startup; later losses are the reconnect loop's job. They join before
+	// reconnect-with-resync on loss. A peer still refusing after the rejoin
+	// window, or unreachable, fails startup; later losses are the reconnect
+	// loop's job. They join before
 	// any listener opens: a daemon reachable before it has joined its peers
 	// could be joined by a third daemon to both sides, and then its own
 	// join would be refused as a cycle.
 	for _, p := range peerAddrs {
-		if _, err := srv.DialPeer(p); err != nil {
+		if err := joinPeer(srv, p, logger); err != nil {
 			return err
 		}
 	}
@@ -247,11 +232,6 @@ func run(args []string, stop <-chan os.Signal) error {
 		select {
 		case <-stop:
 			logger.Printf("shutting down")
-			if *snapshot != "" {
-				if err := saveSnapshot(b, *snapshot, logger); err != nil {
-					return err
-				}
-			}
 			return nil
 		case <-pruneTick:
 			if n := srv.Prune(*pruneBatch); n > 0 {
@@ -294,6 +274,28 @@ func dialFleet(shardList string, logger *log.Logger) (*fleet.Coordinator, error)
 	return coord, nil
 }
 
+// peerRejoinWindow bounds how long a -peer dial retries a refusal.
+const peerRejoinWindow = 5 * time.Second
+
+// joinPeer dials one -peer link. A refusal is retried for up to
+// peerRejoinWindow: right after a restart the neighbor may not yet have
+// detached this broker's previous link, and until it does it refuses the
+// redial as a cycle. A real cycle is still refused when the window ends;
+// an unreachable peer fails at once.
+func joinPeer(srv *transport.Server, addr string, logger *log.Logger) error {
+	deadline := time.Now().Add(peerRejoinWindow)
+	for logged := false; ; logged = true {
+		_, err := srv.DialPeer(addr)
+		if err == nil || !errors.Is(err, transport.ErrPeerRejected) || time.Now().After(deadline) {
+			return err
+		}
+		if !logged {
+			logger.Printf("%v; retrying for up to %v", err, peerRejoinWindow)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
 // addrList collects a repeatable address flag.
 type addrList []string
 
@@ -330,53 +332,4 @@ func logDeliveryHotspots(st broker.Stats, logger *log.Logger) {
 		logger.Printf("delivery: lossiest sub %d (%q): delivered=%d dropped=%d",
 			loss.SubID, loss.Subscriber, loss.Delivered, loss.Dropped)
 	}
-}
-
-// loadSnapshot restores the routing table right after the static raw
-// links are dialed: entries referencing those links (stable IDs in flag
-// order) restore exactly; entries referencing links that do not exist yet
-// — accepted connections and managed -peer links, neither of which has a
-// stable identity across restarts — are skipped, which is safe because
-// managed peers replay their entries through the reconnect resync. The
-// logged local/remote counts show what survived. Restored local entries
-// have no session to return to (a session's handle IDs die with it), so
-// their deliveries reach only the undeliverable-notification log. A
-// missing file is a first start, not an error.
-func loadSnapshot(b *broker.Broker, path string, logger *log.Logger) error {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := b.ReadSnapshot(f); err != nil {
-		return fmt.Errorf("load snapshot %s: %w", path, err)
-	}
-	st := b.Stats()
-	logger.Printf("restored snapshot %s: %d local, %d remote entries",
-		path, st.LocalSubs, st.RemoteSubs)
-	return nil
-}
-
-// saveSnapshot writes the routing table atomically (temp file + rename).
-func saveSnapshot(b *broker.Broker, path string, logger *log.Logger) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := b.WriteSnapshot(f); err != nil {
-		_ = f.Close()
-		return fmt.Errorf("write snapshot %s: %w", tmp, err)
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	logger.Printf("wrote snapshot %s", path)
-	return nil
 }

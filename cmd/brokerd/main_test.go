@@ -38,7 +38,7 @@ func TestBadFlags(t *testing.T) {
 	if err := run([]string{"-listen", "300.0.0.1:bad"}, nil); err == nil {
 		t.Error("bad listen address accepted")
 	}
-	if err := run([]string{"-peers", "127.0.0.1:1"}, nil); err == nil {
+	if err := run([]string{"-peer", "127.0.0.1:1"}, nil); err == nil {
 		t.Error("unreachable peer accepted")
 	}
 }
@@ -59,8 +59,8 @@ func TestTwoDaemonsLink(t *testing.T) {
 	// to discover a free port first.
 	addr := freePort(t)
 	stopA := start(t, "-id", "a", "-listen", addr)
-	time.Sleep(50 * time.Millisecond)
-	stopB := start(t, "-id", "b", "-peers", addr)
+	waitDial(t, addr)
+	stopB := start(t, "-id", "b", "-peer", addr)
 	time.Sleep(50 * time.Millisecond)
 	if err := stopB(); err != nil {
 		t.Errorf("daemon b: %v", err)
@@ -175,13 +175,12 @@ func freePort(t *testing.T) string {
 	}
 }
 
-// TestSnapshotAcrossRestart pins what a snapshot is for: routing state
-// learned over a raw -peers link (stable link IDs in flag order) survives a
-// restart, so events keep flowing toward the neighbor's subscribers without
-// waiting for anyone to resubscribe. Client sessions are not part of it — a
-// session's subscriptions end with the session.
-func TestSnapshotAcrossRestart(t *testing.T) {
-	snap := filepath.Join(t.TempDir(), "broker.snap")
+// TestPeerRestartResyncs pins how a restarted daemon recovers the routing
+// state it learned from a neighbor: by the peer link's resync, so events
+// keep flowing toward the neighbor's subscribers without anyone
+// resubscribing. Client sessions are not part of it — a session's
+// subscriptions end with the session.
+func TestPeerRestartResyncs(t *testing.T) {
 	linkN, clientsN := freePort(t), freePort(t)
 	stopN := start(t, "-id", "n", "-listen", linkN, "-clients", clientsN)
 	waitDial(t, clientsN)
@@ -197,12 +196,13 @@ func TestSnapshotAcrossRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// publishAt publishes x=1 events at the snapshotting daemon — one, or
-	// one every 20ms until delivered — and waits for carol's handle at the
-	// neighbor to receive an event.
-	publishAt := func(clients string, repeat bool, what string) {
+	// publishAt publishes x=1 events with the given ID at s0 every 20ms
+	// until carol's handle at the neighbor receives one (events of an
+	// earlier life do not count).
+	clients0 := freePort(t)
+	publishAt := func(id uint64, what string) {
 		t.Helper()
-		conn, err := transport.Dial(clients)
+		conn, err := transport.Dial(clients0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,44 +210,42 @@ func TestSnapshotAcrossRestart(t *testing.T) {
 		defer pat.Close()
 		deadline := time.After(10 * time.Second)
 		for {
-			if err := pat.Publish(event.Build(9).Int("x", 1).Msg()); err != nil {
+			if err := pat.Publish(event.Build(id).Int("x", 1).Msg()); err != nil {
 				t.Fatal(err)
 			}
-			var again <-chan time.Time
-			if repeat {
-				again = time.After(20 * time.Millisecond)
-			}
-			select {
-			case <-h.C():
-				return
-			case <-deadline:
-				t.Fatal(what)
-			case <-again:
+			again := time.After(20 * time.Millisecond)
+			for waiting := true; waiting; {
+				select {
+				case m := <-h.C():
+					if m.ID == id {
+						return
+					}
+				case <-deadline:
+					t.Fatal(what)
+				case <-again:
+					waiting = false
+				}
 			}
 		}
 	}
 
-	// First life: the forwarded subscription arrives over the raw link and
-	// becomes a remote entry, which shutdown writes to the snapshot.
-	clients1 := freePort(t)
-	stop1 := start(t, "-id", "s0", "-peers", linkN, "-clients", clients1, "-snapshot", snap)
-	waitDial(t, clients1)
-	publishAt(clients1, true, "subscription never reached the snapshotting daemon")
+	// Both lives run with the same flags. In the first, carol's
+	// subscription reaches s0 through the peer handshake's resync.
+	args := []string{"-id", "s0", "-peer", linkN, "-clients", clients0}
+	stop1 := start(t, args...)
+	waitDial(t, clients0)
+	publishAt(1, "subscription never reached s0")
 	if err := stop1(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(snap); err != nil {
-		t.Fatalf("snapshot not written: %v", err)
-	}
 
-	// Second life: nobody resubscribes, yet the restored remote entry
-	// forwards the very first publish over the re-dialed link. One publish
-	// only: the neighbor resyncs a raw link it has heard nothing on after a
-	// second, and a retry would then succeed without any snapshot.
-	clients2 := freePort(t)
-	stop2 := start(t, "-id", "s0", "-peers", linkN, "-clients", clients2, "-snapshot", snap)
-	waitDial(t, clients2)
-	publishAt(clients2, false, "restored remote entry did not forward to the neighbor's client")
+	// Second life: nobody resubscribes, yet the redialed link's resync
+	// brings carol's subscription back. The restart is immediate: until the
+	// neighbor has noticed the first life's link die it refuses the redial
+	// as a cycle, and startup must retry through that on its own.
+	stop2 := start(t, args...)
+	waitDial(t, clients0)
+	publishAt(2, "restarted s0 never forwarded to the neighbor's client")
 	if err := stop2(); err != nil {
 		t.Fatal(err)
 	}
@@ -444,9 +442,6 @@ func TestFleetDaemons(t *testing.T) {
 func TestFleetFlagValidation(t *testing.T) {
 	if err := run([]string{"-fleet", "127.0.0.1:1", "-listen", "127.0.0.1:0"}, nil); err == nil {
 		t.Error("coordinator mode accepted overlay flags")
-	}
-	if err := run([]string{"-fleet", "127.0.0.1:1", "-snapshot", "x.snap"}, nil); err == nil {
-		t.Error("coordinator mode accepted -snapshot")
 	}
 	if err := run([]string{"-fleet", " , "}, nil); err == nil {
 		t.Error("empty -fleet shard list accepted")

@@ -14,8 +14,8 @@
 // The event hot path is concurrent end to end. Publishing is the data
 // plane: any number of goroutines may publish at once, each event matched
 // on its publishing goroutine against the routing table under a shared
-// lock with per-call scratch state. Subscribing, unsubscribing, pruning,
-// and snapshot restore are the control plane and run exclusively.
+// lock with per-call scratch state. Subscribing, unsubscribing, and
+// pruning are the control plane and run exclusively.
 //
 // Delivery is its own plane: every subscription owns a bounded queue
 // between the match path and its consumer, so a consumer that stops

@@ -28,9 +28,9 @@
 //     run at once — the filter engine matches with per-call scratch, route
 //     scratch comes from a pool, traffic counters are atomics, and the
 //     selectivity model locks internally.
-//   - Control plane (exclusive, Lock): subscribe, unsubscribe, prune, and
-//     snapshot restore mutate the routing table and indexes, so they drain
-//     all in-flight routing before proceeding.
+//   - Control plane (exclusive, Lock): subscribe, unsubscribe, and prune
+//     mutate the routing table and indexes, so they drain all in-flight
+//     routing before proceeding.
 //
 // The deterministic simulation drives brokers from one goroutine; for it
 // the locks are uncontended and behavior is unchanged.
@@ -1006,4 +1006,8 @@ func (b *Broker) NonLocalAssociations() int {
 		}
 	}
 	return n
+}
+
+func sortIDs(ids []uint64) {
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 }

@@ -131,9 +131,8 @@ func (e *Engine) Register(s *subscription.Subscription) error {
 }
 
 // RegisterAt adds a subscription whose current tree has already been pruned
-// in a previous life (broker snapshot restore): heuristic anchors come from
-// original while pruning continues from current. The two must share the
-// subscription ID.
+// away from its original: heuristic anchors come from original while
+// pruning continues from current. The two must share the subscription ID.
 func (e *Engine) RegisterAt(original, current *subscription.Subscription) error {
 	if original.ID != current.ID {
 		return fmt.Errorf("core: register mismatch: original %d vs current %d", original.ID, current.ID)

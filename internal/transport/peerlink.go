@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -115,11 +116,17 @@ func redialJitter(rng *rand.Rand, cap time.Duration) time.Duration {
 	return peerBackoffFloor + time.Duration(rng.Int63n(int64(cap)))
 }
 
+// ErrPeerRejected wraps a neighbor's refusal of a peer link (cycle, self
+// link). A refusal for a would-be cycle can be transient: a neighbor that
+// has not yet detached a dead link to the dialer still counts the dialer's
+// component as its own.
+var ErrPeerRejected = errors.New("transport: peer rejected link")
+
 // DialPeer opens a persistent peer link to a neighbor broker's listener:
 // handshake (acyclicity check + membership exchange), state sync, and
 // automatic redial-with-backoff when the link later drops, resyncing on
 // every reconnect. The first connection attempt is synchronous — a broker
-// that refuses the link (cycle, self link) or is unreachable surfaces
+// that refuses the link (ErrPeerRejected) or is unreachable surfaces
 // here. The returned Peer stops reconnecting on Peer.Close or Shutdown.
 func (s *Server) DialPeer(addr string) (*Peer, error) {
 	if s.b == nil {
@@ -254,7 +261,7 @@ func (p *Peer) connect() (chan struct{}, error) {
 	switch f.Type {
 	case wire.FramePeerReject:
 		_ = conn.Close()
-		return nil, fmt.Errorf("transport: peer %s rejected link: %s", p.addr, f.Reason)
+		return nil, fmt.Errorf("%w: %s: %s", ErrPeerRejected, p.addr, f.Reason)
 	case wire.FramePeerHello:
 	default:
 		_ = conn.Close()
@@ -263,7 +270,7 @@ func (p *Peer) connect() (chan struct{}, error) {
 	timer.Stop() // handshake done; the live link must outlast the deadline
 
 	down := make(chan struct{})
-	id, err := s.attachLink(conn, f.Peer, nil, func() {
+	id, err := s.attachLink(conn, f.Peer, func() {
 		p.mu.Lock()
 		p.up = false
 		p.mu.Unlock()
@@ -359,7 +366,7 @@ func (s *Server) acceptPeer(conn Conn, hello *wire.PeerHello) {
 	// concurrent handshake that won the race surfaces here. The hello is
 	// already on the wire, so the refusal is a plain close — the dialer
 	// sees the link die and (if managed) retries through its redial loop.
-	id, err := s.attachLink(conn, hello, nil, nil)
+	id, err := s.attachLink(conn, hello, nil)
 	if err != nil {
 		s.logPeer("peer %s refused post-hello: %v", hello.ID, err)
 		_ = conn.Close()

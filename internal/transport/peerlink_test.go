@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -99,7 +100,7 @@ func TestPeerRejectsCycleAndSelfLink(t *testing.T) {
 	if _, err := s2.DialPeer(addr1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s2.DialPeer(addr0); err == nil || !strings.Contains(err.Error(), "cycle") {
+	if _, err := s2.DialPeer(addr0); !errors.Is(err, ErrPeerRejected) || !strings.Contains(err.Error(), "cycle") {
 		t.Errorf("cycle-closing dial = %v, want refusal", err)
 	}
 	// A duplicate edge between direct neighbors is a 2-cycle.
@@ -211,6 +212,64 @@ func TestShutdownWithSilentPendingConnection(t *testing.T) {
 	}
 }
 
+func TestListenRefusesNonPeerConnections(t *testing.T) {
+	// The link listener admits managed peers only. A connection that never
+	// opens the handshake is not a link and must never be sent the
+	// broker's subscriptions; one that opens with anything but a peer
+	// hello is closed without a frame.
+	for _, tc := range []struct {
+		name  string
+		first *wire.Frame // nil: send nothing
+	}{
+		{"silent", nil},
+		{"client hello on the link port", &wire.Frame{Type: wire.FrameHello, Subscriber: "carol"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, _ := newPeerServer(t, "a")
+			defer s.Shutdown()
+			addr, err := s.Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			conn, err := Dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if tc.first != nil {
+				if err := conn.Send(*tc.first); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := s.Subscribe(mustSub(t, 1, "alice", `x = 1`)); err != nil {
+				t.Fatal(err)
+			}
+			type recvd struct {
+				f   wire.Frame
+				err error
+			}
+			got := make(chan recvd, 1)
+			go func() {
+				f, err := conn.Recv()
+				got <- recvd{f, err}
+			}()
+			select {
+			case r := <-got:
+				if r.err == nil {
+					t.Fatalf("received a %s frame", r.f.Type)
+				}
+				if tc.first == nil {
+					t.Fatalf("silent connection closed early: %v", r.err)
+				}
+			case <-time.After(1500 * time.Millisecond):
+				if tc.first != nil {
+					t.Fatal("connection still open after a non-peer first frame")
+				}
+			}
+		})
+	}
+}
+
 func TestPeerRejectsCycleAfterComponentJoin(t *testing.T) {
 	// Two 2-broker components assembled independently, then joined in the
 	// middle; the far ends must refuse the ring-closing edge. This only
@@ -251,11 +310,9 @@ func TestPeerRejectsCycleAfterComponentJoin(t *testing.T) {
 	}
 }
 
-func TestPeerHelloOnRawLinkIsProtocolError(t *testing.T) {
-	// A PeerHello on a link that never completed a handshake (e.g. a
-	// managed dialer whose hello outlived the raw-link classification
-	// grace) must drop the link rather than commit unchecked membership —
-	// the dialer then redials and handshakes properly.
+func TestPeerHelloOnUnhandshakenLinkIsProtocolError(t *testing.T) {
+	// A PeerHello on a link that never completed a handshake (an AttachLink
+	// link) must drop the link rather than commit unchecked membership.
 	s, _ := newPeerServer(t, "a")
 	defer s.Shutdown()
 	local, remote := Pipe()

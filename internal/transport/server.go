@@ -19,16 +19,16 @@ import (
 // connections as a concurrent pipeline: connection readers decode frames
 // and hand them to the router, whose data plane (publishes) runs shared so
 // many events match at once while its control plane (subscribe/unsubscribe/
-// prune/snapshot) runs exclusive; resulting frames land in per-peer
-// outboxes drained by writer goroutines. Slow peers therefore only stall
-// their own outbox, and publish throughput scales with cores instead of
-// serializing behind one server mutex.
+// prune) runs exclusive; resulting frames land in per-peer outboxes drained
+// by writer goroutines. Slow peers therefore only stall their own outbox,
+// and publish throughput scales with cores instead of serializing behind
+// one server mutex.
 //
 // Client sessions, durables, dispatch, listeners and shutdown only ever
 // call the Router seam, so they run the same code whatever sits behind
-// it. The overlay-link entry points (Listen, DialPeer, DialLink,
-// AttachLink) need a routing broker and fail with ErrNoOverlay on any
-// other router; Prune and Stats are the broker's and read zero without one.
+// it. The overlay-link entry points (Listen, DialPeer, AttachLink) need a
+// routing broker and fail with ErrNoOverlay on any other router; Prune and
+// Stats are the broker's and read zero without one.
 //
 // The server's own mutex only guards its connection registry (links,
 // clients, listeners, closed); it is never held across router calls or
@@ -191,27 +191,22 @@ func (s *Server) logPeer(format string, args ...any) {
 // not a broker); the broker is safe for concurrent use.
 func (s *Server) Broker() *broker.Broker { return s.b }
 
-// AttachLink registers conn as a neighbor-broker connection (no peer
-// handshake — the caller vouches for the topology) and starts its reader.
-// The returned LinkID is stable for the server's lifetime. When the
+// AttachLink registers conn as an in-process neighbor-broker link and
+// starts its reader. There is no peer handshake: the caller vouches for the
+// topology, the link takes no part in overlay membership, and nothing
+// redials it. No listener produces such a link (Listen admits handshaken
+// peers only); it wires servers in process, over Pipe or a connection the
+// caller made. When the
 // connection dies, the link's routing entries are dropped and the
 // retractions forwarded (see detachLink).
 func (s *Server) AttachLink(conn Conn) (broker.LinkID, error) {
-	return s.attachLink(conn, nil, nil, nil)
-}
-
-// recvResult is one connection read handed from the listener's
-// first-frame classifier to the attached link's reader.
-type recvResult struct {
-	f   wire.Frame
-	err error
+	return s.attachLink(conn, nil, nil)
 }
 
 // attachLink registers a link connection: hello (optional) carries the
-// handshake membership committed with the link, first (optional) delivers
-// a pending pre-attachment read that the reader consumes ahead of the
-// stream, and onDown (optional) runs after the link detaches.
-func (s *Server) attachLink(conn Conn, hello *wire.PeerHello, first <-chan recvResult, onDown func()) (broker.LinkID, error) {
+// handshake membership committed with the link, and onDown (optional) runs
+// after the link detaches.
+func (s *Server) attachLink(conn Conn, hello *wire.PeerHello, onDown func()) (broker.LinkID, error) {
 	if s.b == nil {
 		return 0, ErrNoOverlay
 	}
@@ -243,7 +238,7 @@ func (s *Server) attachLink(conn Conn, hello *wire.PeerHello, first <-chan recvR
 	s.wg.Add(2)
 	s.mu.Unlock()
 
-	s.startLink(id, p, first)
+	s.startLink(id, p)
 	if mem != nil {
 		// The other component just joined this one: announce its members
 		// over every existing link so distant brokers can refuse a later
@@ -258,10 +253,9 @@ func (s *Server) attachLink(conn Conn, hello *wire.PeerHello, first <-chan recvR
 // through that link. New names are recorded against the link (so its
 // death retracts them) and re-announced over the other handshaken links;
 // already-known names stop the flood, which terminates because the
-// overlay is acyclic. A PeerHello on a link that never handshook — e.g. a
-// managed dialer whose hello outlived the raw-link classification grace —
-// is a protocol error: dropping the link lets the dialer redial and
-// handshake properly instead of committing unchecked membership.
+// overlay is acyclic. A PeerHello on a link that never handshook (an
+// AttachLink link) is a protocol error: the link drops instead of
+// committing unchecked membership.
 func (s *Server) mergeMembers(from broker.LinkID, hello *wire.PeerHello) error {
 	if hello == nil {
 		return nil
@@ -290,9 +284,9 @@ func (s *Server) mergeMembers(from broker.LinkID, hello *wire.PeerHello) error {
 }
 
 // broadcastMembers announces newly learned overlay members on every
-// handshaken link except the one they were learned through. Raw links do
-// not participate in membership tracking (they reject peer hellos), so
-// they are skipped.
+// handshaken link except the one they were learned through. AttachLink
+// links do not participate in membership tracking (they reject peer
+// hellos), so they are skipped.
 func (s *Server) broadcastMembers(except broker.LinkID, members []string) {
 	f := wire.PeerHelloFrame(&wire.PeerHello{ID: s.b.ID(), Members: members})
 	s.mu.RLock()
@@ -322,7 +316,7 @@ func (s *Server) broadcastMembers(except broker.LinkID, members []string) {
 // the caller has already reserved their two WaitGroup slots under s.mu.
 // When the reader exits — connection loss or a protocol error — the link
 // detaches: its routing entries are dropped and forwarded as retractions.
-func (s *Server) startLink(id broker.LinkID, p *peerConn, first <-chan recvResult) {
+func (s *Server) startLink(id broker.LinkID, p *peerConn) {
 	go func() {
 		defer s.wg.Done()
 		p.out.drain()
@@ -334,14 +328,6 @@ func (s *Server) startLink(id broker.LinkID, p *peerConn, first <-chan recvResul
 			_ = p.conn.Close()
 			s.detachLink(id)
 		}()
-		if first != nil {
-			// Consume the classifier's pending read before touching the
-			// connection ourselves (Recv is not concurrency-safe).
-			r := <-first
-			if r.err != nil || s.handleLinkFrame(id, r.f) != nil {
-				return
-			}
-		}
 		for {
 			f, err := p.conn.Recv()
 			if err != nil {
@@ -748,16 +734,29 @@ func (t *sessionSet) reset() {
 	t.list = t.list[:0]
 }
 
-// Listen starts accepting neighbor-broker connections on addr. A
-// connection whose first frame is a peer hello goes through the overlay
-// handshake (acyclicity check, membership exchange, state sync — see
-// peerlink.go); any other first frame attaches the connection as a raw
-// link, the pre-handshake protocol still spoken by DialLink.
+// Listen starts accepting neighbor-broker connections on addr. Only a
+// managed peer is admitted: a connection whose first frame, read within
+// peerHandshakeTimeout, is a peer hello goes through the overlay handshake
+// (acyclicity check, membership exchange, state sync — see peerlink.go).
+// Any other connection is closed without a frame sent to it.
 func (s *Server) Listen(addr string) (string, error) {
 	if s.b == nil {
 		return "", ErrNoOverlay
 	}
-	return s.listen(addr, s.classifyAccepted)
+	return s.listen(addr, func(conn Conn) {
+		// Bound a silent dialer as DialPeer bounds a silent listener. The
+		// deadline covers the first frame only — the live link must outlast
+		// it — and once it has fired the connection is already closed.
+		timer := time.AfterFunc(peerHandshakeTimeout, func() { _ = conn.Close() })
+		defer timer.Stop()
+		s.admit(conn, func(f wire.Frame) bool {
+			if !timer.Stop() || f.Type != wire.FramePeerHello {
+				return false
+			}
+			s.acceptPeer(conn, f.Peer)
+			return true
+		})
+	})
 }
 
 // ListenClients starts accepting client sessions on addr. Each connection
@@ -765,26 +764,33 @@ func (s *Server) Listen(addr string) (string, error) {
 // session is then attached under that name.
 func (s *Server) ListenClients(addr string) (string, error) {
 	return s.listen(addr, func(conn Conn) {
-		// Track the connection while it owes its hello, as classifyAccepted
-		// does: a client that connects and sends nothing must not survive
-		// Shutdown.
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			_ = conn.Close()
-			return
-		}
-		s.pending[conn] = struct{}{}
-		s.mu.Unlock()
-		f, err := conn.Recv()
-		// Attach before unpending, so Shutdown always sees the connection.
-		attached := err == nil && f.Type == wire.FrameHello &&
-			s.AttachClient(f.Subscriber, conn) == nil
-		s.unpend(conn)
-		if !attached {
-			_ = conn.Close()
-		}
+		s.admit(conn, func(f wire.Frame) bool {
+			return f.Type == wire.FrameHello && s.AttachClient(f.Subscriber, conn) == nil
+		})
 	})
+}
+
+// admit reads an accepted connection's first frame and hands it to attach,
+// closing the connection when the read fails or attach returns false.
+// Meanwhile the connection sits in s.pending — one that connects and sends
+// nothing must not survive Shutdown — and it leaves pending only after
+// attach returns, so Shutdown always sees it through one registry or the
+// other.
+func (s *Server) admit(conn Conn, attach func(wire.Frame) bool) {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		_ = conn.Close()
+		return
+	}
+	s.pending[conn] = struct{}{}
+	s.mu.Unlock()
+	f, err := conn.Recv()
+	attached := err == nil && attach(f)
+	s.unpend(conn)
+	if !attached {
+		_ = conn.Close()
+	}
 }
 
 // listen binds addr and hands every accepted connection to serve on a
@@ -823,92 +829,11 @@ func (s *Server) listen(addr string, serve func(Conn)) (string, error) {
 	return ln.Addr().String(), nil
 }
 
-// rawLinkGrace bounds how long the listener waits to classify an accepted
-// connection by its first frame. Managed peers send their hello
-// immediately; a raw (legacy DialLink) dialer may stay silent, so after
-// the grace it is attached as a raw link anyway — pre-handshake behavior
-// was to attach at accept time, and a silent raw listener-only peer must
-// still receive forwarded traffic.
-const rawLinkGrace = time.Second
-
-// classifyAccepted reads an accepted connection's first frame to decide
-// between the peer handshake and a legacy raw link. Raw links are
-// resynced right after attachment: control frames forwarded while the
-// connection awaited classification never reached it, and unlike managed
-// peers a raw link has no other repair path.
-func (s *Server) classifyAccepted(conn Conn) {
-	// Track the connection while waiting for its first frame — a peer
-	// that connects and sends nothing must not survive Shutdown — and
-	// reserve the reader goroutine's slot while holding the lock that
-	// proved !closed.
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		_ = conn.Close()
-		return
-	}
-	s.pending[conn] = struct{}{}
-	s.wg.Add(1)
-	s.mu.Unlock()
-	first := make(chan recvResult, 1)
-	go func() {
-		defer s.wg.Done()
-		f, err := conn.Recv()
-		first <- recvResult{f: f, err: err}
-	}()
-
-	attachRaw := func(pending <-chan recvResult) {
-		// Attach before unpending: the connection must always be visible
-		// to Shutdown through one of the two registries.
-		id, err := s.attachLink(conn, nil, pending, nil)
-		s.unpend(conn)
-		if err != nil {
-			_ = conn.Close()
-			return
-		}
-		s.syncLink(id)
-	}
-
-	select {
-	case r := <-first:
-		if r.err != nil {
-			s.unpend(conn)
-			_ = conn.Close()
-			return
-		}
-		if r.f.Type == wire.FramePeerHello {
-			defer s.unpend(conn)
-			s.acceptPeer(conn, r.f.Peer)
-			return
-		}
-		ready := make(chan recvResult, 1)
-		ready <- r
-		attachRaw(ready)
-	case <-time.After(rawLinkGrace):
-		attachRaw(first)
-	}
-}
-
-// unpend drops a connection from the pre-classification registry.
+// unpend drops a connection from the pre-handshake registry.
 func (s *Server) unpend(conn Conn) {
 	s.mu.Lock()
 	delete(s.pending, conn)
 	s.mu.Unlock()
-}
-
-// DialLink connects to a neighbor broker's listener and attaches the
-// connection as a link.
-func (s *Server) DialLink(addr string) (broker.LinkID, error) {
-	conn, err := Dial(addr)
-	if err != nil {
-		return 0, err
-	}
-	id, err := s.AttachLink(conn)
-	if err != nil {
-		_ = conn.Close()
-		return 0, err
-	}
-	return id, nil
 }
 
 // Shutdown closes the listeners, stops every peer dialer, and closes every

@@ -121,14 +121,14 @@ func TestThreeBrokerLineOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s1.DialLink(addr2a); err != nil {
+	if _, err := s1.DialPeer(addr2a); err != nil {
 		t.Fatal(err)
 	}
 	addr2b, err := s3.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s2.DialLink(addr2b); err != nil {
+	if _, err := s2.DialPeer(addr2b); err != nil {
 		t.Fatal(err)
 	}
 

@@ -248,9 +248,10 @@ type BrokerPeer = transport.Peer
 // DialPeer opens a persistent peer link from s to the broker listening at
 // addr (Server.Listen). The link handshakes with a connect-time acyclicity
 // check (an edge that would close an overlay cycle is refused), replays
-// routing state in both directions, and — unlike the raw DialBroker/
-// AttachLink plumbing — automatically redials with backoff and resyncs
-// when the connection drops. Non-local subscriptions learned over peer
+// routing state in both directions, and automatically redials with backoff
+// and resyncs when the connection drops. It is the only way onto a
+// listener: Listen closes any connection that does not open with this
+// handshake. Non-local subscriptions learned over peer
 // links are prunable routing entries, exactly as in the simulated overlay.
 func DialPeer(s *Server, addr string) (*BrokerPeer, error) {
 	return s.DialPeer(addr)
