@@ -1,24 +1,18 @@
 // Command dimlint machine-checks the repo's load-bearing invariants:
 // encode-once frame ownership (refbalance), the broker's two-plane locking
-// discipline (lockplane), pooled-buffer escape rules (poolescape),
-// golden-seed workload determinism (determinism), and hot-path allocation
-// discipline (hotpathiter).
+// discipline (lockplane), pooled-buffer escape rules (poolescape), and
+// hot-path allocation discipline (hotpathiter).
 //
-// Two modes share the same analyzers:
+//	dimlint [patterns]   # patterns as for go list; default ./...
 //
-//	dimlint ./...                              # standalone, loads via `go list -export`
-//	go vet -vettool=$(command -v dimlint) ./... # unit mode, driven by cmd/go
-//
-// Flags: -json emits diagnostics as JSON on stdout (exit 0; diagnostics
-// are data). Per-analyzer boolean flags (-refbalance, -lockplane, ...)
-// restrict the run to the named analyzers. With no diagnostics the exit
-// code is 0; plain-mode diagnostics exit 2; driver errors exit 1.
+// It loads the packages through `go list -export`, runs every analyzer
+// over them, and prints the diagnostics on stderr. The exit code is 0 when
+// the packages are clean, 2 when there are diagnostics, and 1 when the
+// driver fails: a pattern that does not load, or an argument that looks
+// like a flag (dimlint takes none).
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -26,138 +20,39 @@ import (
 
 	"dimprune/internal/analysis"
 	"dimprune/internal/analysis/load"
-	"dimprune/internal/analysis/unit"
 )
 
-func main() { os.Exit(run(os.Args[1:])) }
+func main() { os.Exit(run(os.Args[1:], os.Stderr)) }
 
-func run(args []string) int {
-	// cmd/go probes the tool before using it: -V=full asks for a version
-	// line that keys the vet result cache, -flags asks which flags the tool
-	// understands. Both print and exit without analyzing anything.
+func run(args []string, stderr io.Writer) int {
 	for _, a := range args {
-		if a == "-V=full" || a == "-V" || a == "--V=full" {
-			printVersion()
-			return 0
-		}
-		if a == "-flags" || a == "--flags" {
-			printFlagDefs()
-			return 0
-		}
-	}
-
-	fs := flag.NewFlagSet("dimlint", flag.ExitOnError)
-	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: dimlint [flags] [patterns | vet.cfg]\n\nAnalyzers:\n")
-		for _, a := range analysis.All() {
-			fmt.Fprintf(fs.Output(), "  %-12s %s\n", a.Name, a.Doc)
-		}
-		fmt.Fprintf(fs.Output(), "\nFlags:\n")
-		fs.PrintDefaults()
-	}
-	asJSON := fs.Bool("json", false, "emit diagnostics as JSON on stdout")
-	enabled := make(map[string]*bool)
-	for _, a := range analysis.All() {
-		enabled[a.Name] = fs.Bool(a.Name, false, "run only the named analyzers: "+a.Doc)
-	}
-	if err := fs.Parse(args); err != nil {
-		return 1
-	}
-
-	analyzers := selectAnalyzers(enabled)
-	rest := fs.Args()
-
-	// Unit mode: cmd/go hands the tool a single vet.cfg path.
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		return unit.Run(rest[0], analyzers, *asJSON)
-	}
-
-	// Standalone mode: resolve patterns like the go tool would.
-	pkgs, err := load.Load(".", rest)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dimlint: %v\n", err)
-		return 1
-	}
-	byPkg := make(map[string][]analysis.Diagnostic)
-	total := 0
-	for _, pkg := range pkgs {
-		diags, err := analysis.RunAnalyzers(pkg, analyzers)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dimlint: %v\n", err)
+		if strings.HasPrefix(a, "-") {
+			fmt.Fprintf(stderr, "dimlint: unknown argument %s: dimlint takes no flags\n\nusage: dimlint [patterns]\n\nAnalyzers:\n", a)
+			for _, an := range analysis.All() {
+				fmt.Fprintf(stderr, "  %-12s %s\n", an.Name, an.Doc)
+			}
 			return 1
 		}
-		if len(diags) > 0 {
-			byPkg[pkg.Types.Path()] = diags
-			total += len(diags)
-		}
 	}
-	if *asJSON {
-		unit.WriteJSON(os.Stdout, byPkg)
-		return 0
+	pkgs, err := load.Load(".", args)
+	if err != nil {
+		fmt.Fprintf(stderr, "dimlint: %v\n", err)
+		return 1
 	}
+	found := false
 	for _, pkg := range pkgs {
-		for _, d := range byPkg[pkg.Types.Path()] {
-			fmt.Fprintf(os.Stderr, "%s\n", d)
+		diags, err := analysis.RunAnalyzers(pkg, analysis.All())
+		if err != nil {
+			fmt.Fprintf(stderr, "dimlint: %v\n", err)
+			return 1
 		}
+		for _, d := range diags {
+			fmt.Fprintln(stderr, d)
+		}
+		found = found || len(diags) > 0
 	}
-	if total > 0 {
+	if found {
 		return 2
 	}
 	return 0
-}
-
-// selectAnalyzers returns the analyzers whose flags were set, or the whole
-// suite when none were.
-func selectAnalyzers(enabled map[string]*bool) []*analysis.Analyzer {
-	any := false
-	for _, on := range enabled {
-		if *on {
-			any = true
-		}
-	}
-	all := analysis.All()
-	if !any {
-		return all
-	}
-	var picked []*analysis.Analyzer
-	for _, a := range all {
-		if *enabled[a.Name] {
-			picked = append(picked, a)
-		}
-	}
-	return picked
-}
-
-// printVersion answers cmd/go's -V=full probe. The line must read
-// "<name> version devel ... buildID=<id>"; the id keys the vet result
-// cache, so it is a hash of the tool's own binary — rebuilding dimlint
-// invalidates stale cached results.
-func printVersion() {
-	id := "unknown"
-	if exe, err := os.Executable(); err == nil {
-		if f, err := os.Open(exe); err == nil {
-			h := sha256.New()
-			if _, err := io.Copy(h, f); err == nil {
-				id = fmt.Sprintf("%x", h.Sum(nil))[:32]
-			}
-			f.Close()
-		}
-	}
-	fmt.Printf("dimlint version devel buildID=%s\n", id)
-}
-
-// printFlagDefs answers cmd/go's -flags probe with the JSON flag
-// descriptions it uses to validate pass-through flags.
-func printFlagDefs() {
-	type flagDef struct {
-		Name  string `json:"Name"`
-		Bool  bool   `json:"Bool"`
-		Usage string `json:"Usage"`
-	}
-	defs := []flagDef{{Name: "json", Bool: true, Usage: "emit diagnostics as JSON on stdout"}}
-	for _, a := range analysis.All() {
-		defs = append(defs, flagDef{Name: a.Name, Bool: true, Usage: a.Doc})
-	}
-	out, _ := json.Marshal(defs)
-	fmt.Println(string(out))
 }

@@ -194,26 +194,17 @@ func TestExperimentFacadeSmoke(t *testing.T) {
 }
 
 func TestServerFacadeOverPipe(t *testing.T) {
-	b1, err := NewBroker(BrokerConfig{ID: "b1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, err := NewBroker(BrokerConfig{ID: "b2"})
-	if err != nil {
-		t.Fatal(err)
-	}
 	dels := make(chan Delivery, 1)
-	s1 := NewServer(b1, nil)
-	s2 := NewServer(b2, func(d Delivery) { dels <- d })
-	defer s1.Shutdown()
-	defer s2.Shutdown()
-	c1, c2 := Pipe()
-	if _, err := s1.AttachLink(c1); err != nil {
+	servers, shutdown, err := NewNetworkedLine(2, Network, func(at int, d Delivery) {
+		if at == 1 {
+			dels <- d
+		}
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s2.AttachLink(c2); err != nil {
-		t.Fatal(err)
-	}
+	defer shutdown()
+	s1, s2 := servers[0], servers[1]
 	sub, _ := NewSubscription(1, "eve", MustParse(`x = 1`))
 	if _, err := s2.Subscribe(sub); err != nil {
 		t.Fatal(err)

@@ -2,24 +2,21 @@
 // spirit of golang.org/x/tools/go/analysis: an Analyzer inspects one
 // type-checked package and reports Diagnostics. It exists because the
 // repo's load-bearing invariants — encode-once reference ownership, the
-// broker's two-plane locking, pooled-buffer escape rules, workload
-// determinism, hot-path allocation discipline — lived only in prose
-// (ARCHITECTURE.md, code comments) until dimlint turned them into
-// build-failing checks. The framework is deliberately x/tools-shaped so
+// broker's two-plane locking, pooled-buffer escape rules, hot-path
+// allocation discipline — lived only in prose (ARCHITECTURE.md, code
+// comments) until dimlint turned them into build-failing checks. The framework is deliberately x/tools-shaped so
 // the analyzers could be ported to the real go/analysis API verbatim if
 // the dependency ever becomes available; it is built on the standard
 // library only (go/ast, go/types, go/importer).
 //
-// Drivers: internal/analysis/load runs `go list -export` and type-checks
-// whole package patterns (the standalone `dimlint ./...` mode), and
-// internal/analysis/unit speaks cmd/go's vet unit-checker protocol
-// (`go vet -vettool=dimlint`). Both feed packages through RunAnalyzers,
-// which also applies the //dimlint:ignore suppression directives.
+// Driver: internal/analysis/load runs `go list -export` and type-checks
+// whole package patterns; `dimlint ./...` and analysistest feed the
+// packages it returns through RunAnalyzers, which also applies the
+// //dimlint:ignore suppression directives.
 //
-// Test files (*_test.go) are not analyzed: the invariants the analyzers
-// encode govern production code, and tests legitimately violate several
-// of them (map-order shuffling, wall-clock timing, deliberate misuse to
-// provoke errors).
+// Test files (*_test.go) are not analyzed: load hands over a package's
+// GoFiles only. The invariants govern production code, and tests
+// legitimately break them (deliberate misuse to provoke errors).
 package analysis
 
 import (
@@ -28,7 +25,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // An Analyzer describes one invariant check. Run inspects the package in
@@ -38,7 +34,7 @@ type Analyzer struct {
 	// //dimlint:ignore directives. By convention it is a single
 	// lowercase word.
 	Name string
-	// Doc is the one-paragraph description printed by `dimlint -help`.
+	// Doc is the one-paragraph description dimlint prints in its usage.
 	Doc string
 	// Run performs the analysis. A non-nil error aborts the whole run
 	// (driver bug or unusable input, not a finding).
@@ -54,7 +50,7 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 	// Dirs exposes the package's dimlint directives (hotpath, locked,
-	// generator marks); ignore directives are applied by the driver.
+	// pooled marks); ignore directives are applied by the driver.
 	Dirs *Directives
 
 	report func(Diagnostic)
@@ -107,21 +103,14 @@ func NewInfo() *types.Info {
 // as diagnostics from the pseudo-analyzer "dimlint" and cannot be
 // suppressed.
 func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	files := make([]*ast.File, 0, len(pkg.Files))
-	for _, f := range pkg.Files {
-		if IsTestFile(pkg.Fset, f) {
-			continue
-		}
-		files = append(files, f)
-	}
-	dirs := ParseDirectives(pkg.Fset, files)
+	dirs := ParseDirectives(pkg.Fset, pkg.Files)
 
 	var diags []Diagnostic
 	for _, a := range analyzers {
 		pass := &Pass{
 			Analyzer:  a,
 			Fset:      pkg.Fset,
-			Files:     files,
+			Files:     pkg.Files,
 			Pkg:       pkg.Types,
 			TypesInfo: pkg.Info,
 			Dirs:      dirs,
@@ -149,11 +138,6 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	return diags, nil
 }
 
-// IsTestFile reports whether f was parsed from a *_test.go file.
-func IsTestFile(fset *token.FileSet, f *ast.File) bool {
-	return strings.HasSuffix(fset.Position(f.Pos()).Filename, "_test.go")
-}
-
 // --- shared AST/type helpers used by several analyzers ---------------------
 
 // NamedOf returns the named type behind t, unwrapping pointers and
@@ -170,35 +154,6 @@ func NamedOf(t types.Type) *types.Named {
 	return n
 }
 
-// TypeName returns the bare name of the named type behind t ("" if none).
-func TypeName(t types.Type) string {
-	if n := NamedOf(t); n != nil {
-		return n.Obj().Name()
-	}
-	return ""
-}
-
-// ReceiverType returns the bare name of fd's receiver type ("" for plain
-// functions).
-func ReceiverType(fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return ""
-	}
-	t := fd.Recv.List[0].Type
-	for {
-		switch x := t.(type) {
-		case *ast.StarExpr:
-			t = x.X
-		case *ast.IndexExpr: // generic receiver
-			t = x.X
-		case *ast.Ident:
-			return x.Name
-		default:
-			return ""
-		}
-	}
-}
-
 // ReceiverIdent returns fd's receiver identifier, or nil for plain
 // functions and anonymous receivers.
 func ReceiverIdent(fd *ast.FuncDecl) *ast.Ident {
@@ -210,24 +165,6 @@ func ReceiverIdent(fd *ast.FuncDecl) *ast.Ident {
 		return nil
 	}
 	return id
-}
-
-// IsPkgSymbol reports whether sel is a reference to symbol name qualified
-// by an imported package whose path is path (or, when path ends with a
-// version suffix, its unversioned form).
-func IsPkgSymbol(info *types.Info, sel *ast.SelectorExpr, path, name string) bool {
-	if sel.Sel.Name != name {
-		return false
-	}
-	id, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	pn, ok := info.Uses[id].(*types.PkgName)
-	if !ok {
-		return false
-	}
-	return pn.Imported().Path() == path
 }
 
 // PkgPathOf returns the import path of the package qualifying sel, or ""
@@ -327,18 +264,4 @@ func WalkFuncs(files []*ast.File, fn func(decl *ast.FuncDecl, body *ast.BlockStm
 			}
 		}
 	}
-}
-
-// InnermostFuncs yields every function body (declarations and literals)
-// in the files, paired with the declaration it syntactically belongs to.
-func InnermostFuncs(files []*ast.File, fn func(decl *ast.FuncDecl, lit *ast.FuncLit, body *ast.BlockStmt)) {
-	WalkFuncs(files, func(decl *ast.FuncDecl, body *ast.BlockStmt) {
-		fn(decl, nil, body)
-		ast.Inspect(body, func(n ast.Node) bool {
-			if fl, ok := n.(*ast.FuncLit); ok {
-				fn(decl, fl, fl.Body)
-			}
-			return true
-		})
-	})
 }

@@ -9,7 +9,6 @@ func All() []*Analyzer {
 		Refbalance,  // PR 4: encode-once frame ownership
 		Lockplane,   // PR 3: two-plane locking discipline
 		Poolescape,  // PR 4: decode-copies-out of pooled buffers
-		Determinism, // PR 5: golden-seed workload streams
 		Hotpathiter, // PR 6: dense-slice hot path, no fmt
 	}
 }

@@ -26,11 +26,6 @@ import (
 //	    its returns and instead treats its call results as pooled in every
 //	    caller.
 //
-//	//dimlint:generator
-//	    Anywhere in a file: marks the package as a workload generator for
-//	    the determinism analyzer (real generator packages are detected by
-//	    their workload.Register call; fixtures use the mark).
-//
 //	//dimlint:ignore <analyzer> <reason>
 //	    Suppresses <analyzer>'s diagnostics on the same line and the line
 //	    directly below (so the directive can trail the flagged statement
@@ -51,7 +46,6 @@ type ignoreDirective struct {
 type Directives struct {
 	ignores   []ignoreDirective
 	funcMarks map[*ast.FuncDecl]map[string]bool
-	pkgMarks  map[string]bool
 	problems  []Diagnostic
 }
 
@@ -59,7 +53,6 @@ type Directives struct {
 func ParseDirectives(fset *token.FileSet, files []*ast.File) *Directives {
 	d := &Directives{
 		funcMarks: make(map[*ast.FuncDecl]map[string]bool),
-		pkgMarks:  make(map[string]bool),
 	}
 	for _, f := range files {
 		// Function marks come from doc comments so they unambiguously
@@ -84,31 +77,27 @@ func ParseDirectives(fset *token.FileSet, files []*ast.File) *Directives {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				kind, rest := parseDirective(c.Text)
-				pos := fset.Position(c.Pos())
-				switch kind {
-				case "":
+				if kind != "ignore" {
 					continue
-				case "generator":
-					d.pkgMarks["generator"] = true
-				case "ignore":
-					analyzer, reason, _ := strings.Cut(rest, " ")
-					analyzer = strings.TrimSpace(analyzer)
-					reason = strings.TrimSpace(reason)
-					if analyzer == "" || reason == "" {
-						d.problems = append(d.problems, Diagnostic{
-							Analyzer: "dimlint",
-							Pos:      pos,
-							Message:  "dimlint:ignore needs an analyzer name and a non-empty reason (//dimlint:ignore <analyzer> <reason>)",
-						})
-						continue
-					}
-					d.ignores = append(d.ignores, ignoreDirective{
-						file:     pos.Filename,
-						line:     pos.Line,
-						analyzer: analyzer,
-						reason:   reason,
-					})
 				}
+				pos := fset.Position(c.Pos())
+				analyzer, reason, _ := strings.Cut(rest, " ")
+				analyzer = strings.TrimSpace(analyzer)
+				reason = strings.TrimSpace(reason)
+				if analyzer == "" || reason == "" {
+					d.problems = append(d.problems, Diagnostic{
+						Analyzer: "dimlint",
+						Pos:      pos,
+						Message:  "dimlint:ignore needs an analyzer name and a non-empty reason (//dimlint:ignore <analyzer> <reason>)",
+					})
+					continue
+				}
+				d.ignores = append(d.ignores, ignoreDirective{
+					file:     pos.Filename,
+					line:     pos.Line,
+					analyzer: analyzer,
+					reason:   reason,
+				})
 			}
 		}
 	}
@@ -131,10 +120,6 @@ func parseDirective(text string) (kind, rest string) {
 func (d *Directives) FuncHas(fd *ast.FuncDecl, mark string) bool {
 	return fd != nil && d.funcMarks[fd][mark]
 }
-
-// PkgHas reports whether any file carries the given package-level mark
-// ("generator").
-func (d *Directives) PkgHas(mark string) bool { return d.pkgMarks[mark] }
 
 // filter drops diagnostics covered by an ignore directive. A directive
 // covers its own line and the next one, in its file, for its named

@@ -7,8 +7,8 @@
 // publish only to the shards whose advertised covers can match it, gathering
 // and deduping the match results.
 //
-// Each shard is a full broker (in-process LocalShard or an OS-process
-// reached via DialShard/ServeShard) holding its partition as local, exact,
+// Each shard is a full broker (in-process LocalShard, or an OS-process
+// ShardServer reached via DialShard) holding its partition as local, exact,
 // never-pruned entries. The shard's covering forest advertises only cover
 // roots and opaque entries on its coordinator link; the coordinator folds
 // those advertisements into one scatter index, so a publish skips every

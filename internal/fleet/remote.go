@@ -13,9 +13,9 @@ import (
 )
 
 // Remote shards put a fleet partition in its own OS process: a ShardServer
-// wraps the shard-side broker and answers a coordinator connection; a
-// RemoteShard is the coordinator-side stub implementing Shard over that
-// connection.
+// answers a coordinator connection with a LocalShard over the shard-side
+// broker; a RemoteShard is the coordinator-side stub implementing Shard
+// over that connection.
 //
 // The protocol is strict request/reply over one FIFO connection, so no
 // correlation IDs are needed beyond the event ID the match-set frame
@@ -31,19 +31,22 @@ import (
 // A publish's match set echoes the event ID; control terminators echo the
 // subscription ID (zero for hello).
 
-// ShardServer serves one broker as a fleet shard. The coordinator link is
-// allocated at construction, so advertisement frames and publishes flow
-// through the same broker link whether the coordinator is in-process or
-// remote.
+// ShardServer serves one broker as a fleet shard: each coordinator request
+// is answered by the in-process LocalShard built on that broker, so a
+// remote shard runs exactly the code of a local one.
 type ShardServer struct {
-	b    *broker.Broker
-	link broker.LinkID
-	logf func(string, ...any)
+	shard *LocalShard
+	logf  func(string, ...any)
 }
 
-// NewShardServer wraps a broker for fleet shard duty.
+// NewShardServer wraps a broker for fleet shard duty. The coordinator link
+// is allocated here, so advertisement frames and publishes flow through
+// the same broker link whichever coordinator connection is attached.
 func NewShardServer(b *broker.Broker) *ShardServer {
-	return &ShardServer{b: b, link: b.AddLink(), logf: func(string, ...any) {}}
+	return &ShardServer{
+		shard: &LocalShard{name: b.ID(), b: b, link: b.AddLink()},
+		logf:  func(string, ...any) {},
+	}
 }
 
 // SetLogf installs a diagnostics logger.
@@ -68,7 +71,10 @@ func (s *ShardServer) Serve(ln net.Listener) error {
 	}
 }
 
-// ServeConn answers one coordinator connection until it closes.
+// ServeConn answers one coordinator connection until it closes. A request
+// the shard fails is logged and still terminated, which keeps the reply
+// stream aligned; so is an unknown frame, tolerated the way the transport
+// server tolerates one.
 func (s *ShardServer) ServeConn(conn transport.Conn) {
 	defer func() { _ = conn.Close() }()
 	for {
@@ -76,65 +82,38 @@ func (s *ShardServer) ServeConn(conn transport.Conn) {
 		if err != nil {
 			return
 		}
+		var (
+			out []wire.Frame
+			ids []uint64
+			id  uint64 // echoed by the terminator
+		)
 		switch f.Type {
 		case wire.FrameHello:
-			out, err := s.b.SyncFrames(s.link)
-			if err != nil {
-				s.logf("fleet shard: sync: %v", err)
-			}
-			if !s.reply(conn, out, wire.MatchSetFrame(0, nil)) {
-				return
-			}
+			out, err = s.shard.Sync()
 		case wire.FrameSubscribe:
-			out, err := s.b.SubscribeLocal(f.Sub)
-			if err != nil {
-				s.logf("fleet shard: subscribe %d: %v", f.Sub.ID, err)
-			}
-			if !s.reply(conn, out, wire.MatchSetFrame(f.Sub.ID, nil)) {
-				return
-			}
+			id = f.Sub.ID
+			out, err = s.shard.Subscribe(f.Sub)
 		case wire.FrameUnsubscribe:
-			out, err := s.b.UnsubscribeLocal(f.SubID)
-			if err != nil {
-				s.logf("fleet shard: unsubscribe %d: %v", f.SubID, err)
-			}
-			if !s.reply(conn, out, wire.MatchSetFrame(f.SubID, nil)) {
-				return
-			}
+			id = f.SubID
+			out, err = s.shard.Unsubscribe(f.SubID)
 		case wire.FramePublish:
-			out, dels, err := s.b.HandlePublish(s.link, f.Msg)
-			releaseFrames(out) // a shard has no other links to forward to
-			if err != nil {
-				s.logf("fleet shard: publish %d: %v", f.Msg.ID, err)
-			}
-			var ids []uint64
-			if len(dels) > 0 {
-				ids = make([]uint64, len(dels))
-				for i, d := range dels {
-					ids[i] = d.SubID
-				}
-			}
-			if !s.reply(conn, nil, wire.MatchSetFrame(f.Msg.ID, ids)) {
-				return
-			}
-		default:
-			// Tolerate unknown coordinator frames the way the transport
-			// server does; the terminator keeps the reply stream aligned.
-			if !s.reply(conn, nil, wire.MatchSetFrame(0, nil)) {
-				return
-			}
+			id = f.Msg.ID
+			ids, err = s.shard.Publish(f.Msg)
+		}
+		if err != nil {
+			s.logf("fleet shard: %s %d: %v", f.Type, id, err)
+		}
+		if !s.reply(conn, out, wire.MatchSetFrame(id, ids)) {
+			return
 		}
 	}
 }
 
 // reply sends a batch's advertisement frames and its terminator; false
 // means the connection broke.
-func (s *ShardServer) reply(conn transport.Conn, out []broker.Outgoing, term wire.Frame) bool {
-	for i := range out {
-		f := out[i].Frame
-		out[i].ReleaseEnc() // Conn.Send re-encodes; the shared buffer goes unused
+func (s *ShardServer) reply(conn transport.Conn, out []wire.Frame, term wire.Frame) bool {
+	for _, f := range out {
 		if err := conn.Send(f); err != nil {
-			releaseFrames(out[i+1:])
 			return false
 		}
 	}

@@ -234,9 +234,14 @@ func TestSessionOverlappingHandlesDeliverOnce(t *testing.T) {
 // prefix, so nothing could ever reattach to them.
 func TestSessionEndRetractsSubscriptions(t *testing.T) {
 	srv, c := handleTestServer(t, "eve")
+	// A fake neighbor broker runs the peer handshake over Pipe.
 	nbrConn, linkConn := Pipe()
-	if _, err := srv.AttachLink(linkConn); err != nil {
+	if err := nbrConn.Send(wire.PeerHelloFrame(&wire.PeerHello{ID: "nbr"})); err != nil {
 		t.Fatal(err)
+	}
+	srv.servePeer(linkConn)
+	if f, err := nbrConn.Recv(); err != nil || f.Type != wire.FramePeerHello {
+		t.Fatalf("neighbor got %v, %v; want the handshake reply", f, err)
 	}
 	// A missing frame fails the Recv below instead of hanging the test.
 	defer time.AfterFunc(5*time.Second, func() { nbrConn.Close() }).Stop()

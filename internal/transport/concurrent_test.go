@@ -130,13 +130,7 @@ func TestConcurrentPublishStress(t *testing.T) {
 	defer srvA.Shutdown()
 	defer srvB.Shutdown()
 
-	c1, c2 := Pipe()
-	if _, err := srvA.AttachLink(c1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := srvB.AttachLink(c2); err != nil {
-		t.Fatal(err)
-	}
+	linkServers(t, srvA, srvB)
 
 	// Stable subscriptions, mirrored into a serial oracle engine.
 	r := dist.New(2026)

@@ -13,9 +13,9 @@ import (
 	"dimprune/internal/wire"
 )
 
-// newFanoutServer builds a broker server with fanout attached links, each a
-// real framed TCP-style connection whose far end discards bytes, and one
-// always-matching routing entry per link — so every published event is
+// newFanoutServer builds a broker server with fanout peer links, each a
+// real framed TCP-style connection whose far end sends its peer hello and
+// then discards bytes, and one always-matching routing entry per link — so every published event is
 // forwarded to every link, the worst-case wire fan-out.
 func newFanoutServer(tb testing.TB, fanout int) (*Server, func()) {
 	tb.Helper()
@@ -27,12 +27,17 @@ func newFanoutServer(tb testing.TB, fanout int) (*Server, func()) {
 	var closers []func()
 	for i := 0; i < fanout; i++ {
 		far, near := net.Pipe()
-		go func() { _, _ = io.Copy(io.Discard, far) }()
-		id, err := s.AttachLink(NewTCPConn(near))
-		if err != nil {
-			tb.Fatal(err)
+		name := fmt.Sprintf("peer%d", i)
+		go func() {
+			_ = NewTCPConn(far).Send(wire.PeerHelloFrame(&wire.PeerHello{ID: name}))
+			_, _ = io.Copy(io.Discard, far)
+		}()
+		s.servePeer(NewTCPConn(near))
+		id, ok := s.PeerLinkIDs()[name]
+		if !ok {
+			tb.Fatalf("%s was not admitted", name)
 		}
-		sub, err := subscription.New(uint64(1000+i), fmt.Sprintf("peer%d", i),
+		sub, err := subscription.New(uint64(1000+i), name,
 			subscription.MustParse(`price exists`))
 		if err != nil {
 			tb.Fatal(err)

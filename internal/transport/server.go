@@ -26,8 +26,8 @@ import (
 //
 // Client sessions, durables, dispatch, listeners and shutdown only ever
 // call the Router seam, so they run the same code whatever sits behind
-// it. The overlay-link entry points (Listen, DialPeer, AttachLink) need a
-// routing broker and fail with ErrNoOverlay on any other router; Prune and
+// it. The overlay-link entry points (Listen, DialPeer) need a routing
+// broker and fail with ErrNoOverlay on any other router; Prune and
 // Stats are the broker's and read zero without one.
 //
 // The server's own mutex only guards its connection registry (links,
@@ -191,47 +191,28 @@ func (s *Server) logPeer(format string, args ...any) {
 // not a broker); the broker is safe for concurrent use.
 func (s *Server) Broker() *broker.Broker { return s.b }
 
-// AttachLink registers conn as an in-process neighbor-broker link and
-// starts its reader. There is no peer handshake: the caller vouches for the
-// topology, the link takes no part in overlay membership, and nothing
-// redials it. No listener produces such a link (Listen admits handshaken
-// peers only); it wires servers in process, over Pipe or a connection the
-// caller made. When the
-// connection dies, the link's routing entries are dropped and the
-// retractions forwarded (see detachLink).
-func (s *Server) AttachLink(conn Conn) (broker.LinkID, error) {
-	return s.attachLink(conn, nil, nil)
-}
-
-// attachLink registers a link connection: hello (optional) carries the
-// handshake membership committed with the link, and onDown (optional) runs
-// after the link detaches.
+// attachLink commits a handshaken peer link: hello is the neighbor's
+// handshake, whose acyclicity is re-checked and whose membership is
+// committed with the link under one lock, and onDown (optional) runs after
+// the link detaches.
 func (s *Server) attachLink(conn Conn, hello *wire.PeerHello, onDown func()) (broker.LinkID, error) {
-	if s.b == nil {
-		return 0, ErrNoOverlay
-	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return 0, ErrClosed
 	}
-	if hello != nil {
-		if err := s.checkPeerLocked(hello); err != nil {
-			s.mu.Unlock()
-			return 0, err
-		}
+	if err := s.checkPeerLocked(hello); err != nil {
+		s.mu.Unlock()
+		return 0, err
 	}
 	id := s.b.AddLink()
 	p := &peerConn{conn: conn, out: newOutbox(conn), onDown: onDown}
 	s.links[id] = p
-	var mem []string
-	if hello != nil {
-		mem = append([]string{hello.ID}, hello.Members...)
-		for _, m := range mem {
-			s.members[m] = struct{}{}
-		}
-		s.linkMembers[id] = mem
+	mem := append([]string{hello.ID}, hello.Members...)
+	for _, m := range mem {
+		s.members[m] = struct{}{}
 	}
+	s.linkMembers[id] = mem
 	// Reserve the reader/writer slots while still holding the lock that
 	// proved !s.closed: Shutdown's wg.Wait must never observe a zero
 	// counter that a goroutine spawn is about to invalidate.
@@ -239,32 +220,20 @@ func (s *Server) attachLink(conn Conn, hello *wire.PeerHello, onDown func()) (br
 	s.mu.Unlock()
 
 	s.startLink(id, p)
-	if mem != nil {
-		// The other component just joined this one: announce its members
-		// over every existing link so distant brokers can refuse a later
-		// edge that would close a cycle through the two far ends.
-		s.broadcastMembers(id, mem)
-	}
+	// The other component just joined this one: announce its members over
+	// every existing link so distant brokers can refuse a later edge that
+	// would close a cycle through the two far ends.
+	s.broadcastMembers(id, mem)
 	return id, nil
 }
 
-// mergeMembers handles a membership update arriving on an established,
-// handshaken peer link: the named brokers joined the component reachable
-// through that link. New names are recorded against the link (so its
-// death retracts them) and re-announced over the other handshaken links;
-// already-known names stop the flood, which terminates because the
-// overlay is acyclic. A PeerHello on a link that never handshook (an
-// AttachLink link) is a protocol error: the link drops instead of
-// committing unchecked membership.
-func (s *Server) mergeMembers(from broker.LinkID, hello *wire.PeerHello) error {
-	if hello == nil {
-		return nil
-	}
+// mergeMembers handles a membership update arriving on an established peer
+// link: the named brokers joined the component reachable through that
+// link. New names are recorded against the link (so its death retracts
+// them) and re-announced over the other links; already-known names stop
+// the flood, which terminates because the overlay is acyclic.
+func (s *Server) mergeMembers(from broker.LinkID, hello *wire.PeerHello) {
 	s.mu.Lock()
-	if _, handshaken := s.linkMembers[from]; !handshaken {
-		s.mu.Unlock()
-		return fmt.Errorf("transport: peer hello from %q on link %d without a completed handshake", hello.ID, from)
-	}
 	var delta []string
 	for _, m := range append([]string{hello.ID}, hello.Members...) {
 		if _, known := s.members[m]; known {
@@ -280,26 +249,19 @@ func (s *Server) mergeMembers(from broker.LinkID, hello *wire.PeerHello) error {
 	if len(delta) > 0 {
 		s.broadcastMembers(from, delta)
 	}
-	return nil
 }
 
-// broadcastMembers announces newly learned overlay members on every
-// handshaken link except the one they were learned through. AttachLink
-// links do not participate in membership tracking (they reject peer
-// hellos), so they are skipped.
+// broadcastMembers announces newly learned overlay members on every link
+// except the one they were learned through.
 func (s *Server) broadcastMembers(except broker.LinkID, members []string) {
 	f := wire.PeerHelloFrame(&wire.PeerHello{ID: s.b.ID(), Members: members})
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	targets := make([]*peerConn, 0, len(s.links))
 	for id, p := range s.links {
-		if id == except {
-			continue
+		if id != except {
+			targets = append(targets, p)
 		}
-		if _, handshaken := s.linkMembers[id]; !handshaken {
-			continue
-		}
-		targets = append(targets, p)
 	}
 	if len(targets) == 0 {
 		return
@@ -456,7 +418,8 @@ func (s *Server) startClient(p *session) {
 // transport itself — the broker never sees it.
 func (s *Server) handleLinkFrame(from broker.LinkID, f wire.Frame) error {
 	if f.Type == wire.FramePeerHello {
-		return s.mergeMembers(from, f.Peer)
+		s.mergeMembers(from, f.Peer)
+		return nil
 	}
 	if f.Type == wire.FramePublish {
 		// Forwarded events write-ahead like local ones: a durable's log must
@@ -743,19 +706,24 @@ func (s *Server) Listen(addr string) (string, error) {
 	if s.b == nil {
 		return "", ErrNoOverlay
 	}
-	return s.listen(addr, func(conn Conn) {
-		// Bound a silent dialer as DialPeer bounds a silent listener. The
-		// deadline covers the first frame only — the live link must outlast
-		// it — and once it has fired the connection is already closed.
-		timer := time.AfterFunc(peerHandshakeTimeout, func() { _ = conn.Close() })
-		defer timer.Stop()
-		s.admit(conn, func(f wire.Frame) bool {
-			if !timer.Stop() || f.Type != wire.FramePeerHello {
-				return false
-			}
-			s.acceptPeer(conn, f.Peer)
-			return true
-		})
+	return s.listen(addr, s.servePeer)
+}
+
+// servePeer admits one connection accepted by Listen: a peer hello as its
+// first frame starts the listener side of the handshake (acceptPeer), and
+// anything else closes it.
+func (s *Server) servePeer(conn Conn) {
+	// Bound a silent dialer as DialPeer bounds a silent listener. The
+	// deadline covers the first frame only — the live link must outlast
+	// it — and once it has fired the connection is already closed.
+	timer := time.AfterFunc(peerHandshakeTimeout, func() { _ = conn.Close() })
+	defer timer.Stop()
+	s.admit(conn, func(f wire.Frame) bool {
+		if !timer.Stop() || f.Type != wire.FramePeerHello {
+			return false
+		}
+		s.acceptPeer(conn, f.Peer)
+		return true
 	})
 }
 

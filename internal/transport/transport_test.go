@@ -77,13 +77,7 @@ func TestTwoServersOverPipe(t *testing.T) {
 	defer s1.Shutdown()
 	defer s2.Shutdown()
 
-	c1, c2 := Pipe()
-	if _, err := s1.AttachLink(c1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s2.AttachLink(c2); err != nil {
-		t.Fatal(err)
-	}
+	linkServers(t, s1, s2)
 
 	// Subscribe at s2; publish at s1; delivery surfaces at s2's callback.
 	if _, err := s2.Subscribe(mustSub(t, 1, "eve", `x = 1`)); err != nil {
@@ -222,10 +216,15 @@ func TestShutdownIdempotentAndRejectsNewWork(t *testing.T) {
 	if _, err := srv.Subscribe(mustSub(t, 1, "x", `a = 1`)); err == nil {
 		t.Error("subscribe after shutdown succeeded")
 	}
-	a, _ := Pipe()
-	if _, err := srv.AttachLink(a); err == nil {
-		t.Error("attach after shutdown succeeded")
+	nbr, conn := Pipe()
+	if err := nbr.Send(wire.PeerHelloFrame(&wire.PeerHello{ID: "late"})); err != nil {
+		t.Fatal(err)
 	}
+	srv.servePeer(conn)
+	if f, err := nbr.Recv(); err == nil {
+		t.Errorf("peer admitted after shutdown: got %v", f)
+	}
+	a, _ := Pipe()
 	if err := srv.AttachClient("c", a); err == nil {
 		t.Error("attach client after shutdown succeeded")
 	}
@@ -236,13 +235,7 @@ func TestServerSurvivesPeerDisconnect(t *testing.T) {
 	s2 := NewServer(newBroker(t, "b2"), nil)
 	defer s1.Shutdown()
 
-	c1, c2 := Pipe()
-	if _, err := s1.AttachLink(c1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s2.AttachLink(c2); err != nil {
-		t.Fatal(err)
-	}
+	linkServers(t, s1, s2)
 	if _, err := s2.Subscribe(mustSub(t, 1, "x", `a = 1`)); err != nil {
 		t.Fatal(err)
 	}
@@ -262,9 +255,7 @@ func TestPruneThroughServer(t *testing.T) {
 	s2 := NewServer(newBroker(t, "b2"), nil)
 	defer s1.Shutdown()
 	defer s2.Shutdown()
-	c1, c2 := Pipe()
-	s1.AttachLink(c1)
-	s2.AttachLink(c2)
+	linkServers(t, s1, s2)
 	if _, err := s2.Subscribe(mustSub(t, 1, "eve", `a = 1 and b = 2`)); err != nil {
 		t.Fatal(err)
 	}
