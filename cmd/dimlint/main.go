@@ -1,7 +1,8 @@
 // Command dimlint machine-checks the repo's load-bearing invariants:
 // encode-once frame ownership (refbalance), the broker's two-plane locking
-// discipline (lockplane), pooled-buffer escape rules (poolescape), and
-// hot-path allocation discipline (hotpathiter).
+// discipline (lockplane), and hot-path allocation discipline (hotpathiter).
+// The decode-copies-out contract of pooled buffers is a test, not a lint:
+// TestPooledReadBufferNeverEscapes plus the -race suites.
 //
 //	dimlint [patterns]   # patterns as for go list; default ./...
 //

@@ -21,9 +21,9 @@ import (
 
 const (
 	stormBrokers = 3
-	stormStable  = 16  // long-lived specific subscriptions per broker
-	stormChurn   = 50  // cover subscribe/unsubscribe cycles per broker
-	stormEvents  = 40  // events published per broker during the storm
+	stormStable  = 16 // long-lived specific subscriptions per broker
+	stormChurn   = 50 // cover subscribe/unsubscribe cycles per broker
+	stormEvents  = 40 // events published per broker during the storm
 	// stormChurnBase offsets churn-cover subscription IDs so their
 	// deliveries filter cleanly out of the collected set.
 	stormChurnBase = uint64(1) << 20

@@ -287,7 +287,7 @@ func networkDeliveries(t *testing.T, w *diffWorkload, prune, covering bool) (map
 		servers[i%diffBrokers].Publish(m)
 	}
 	for j, s := range servers {
-		s.Publish(event.Build(diffSentinelBase + uint64(j)).Int("__flush", 1).Msg())
+		s.Publish(event.Build(diffSentinelBase+uint64(j)).Int("__flush", 1).Msg())
 	}
 	waitForCond(t, 10*time.Second, func() bool {
 		mu.Lock()

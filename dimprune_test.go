@@ -156,7 +156,7 @@ func TestNewLineOverlayEndToEnd(t *testing.T) {
 }
 
 func TestWorkloadFacade(t *testing.T) {
-	w, err := NewWorkload(DefaultWorkloadConfig())
+	w, err := NewWorkloadGenerator("auction", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,12 +164,12 @@ func TestWorkloadFacade(t *testing.T) {
 	if !m.Has("title") || !m.Has("discount") {
 		t.Errorf("workload event incomplete: %s", m)
 	}
-	s, err := w.OfClass(TitleWatcher, 1, "c")
+	s, err := w.Subscription(1, "c")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.NumLeaves() < 2 {
-		t.Errorf("watcher too small: %s", s)
+		t.Errorf("subscription too small: %s", s)
 	}
 }
 

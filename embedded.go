@@ -267,8 +267,6 @@ func (e *Embedded) Publish(m *Message) (int, error) {
 }
 
 // scratch fetches pooled publish buffers.
-//
-//dimlint:pooled
 func (e *Embedded) scratch() *publishBuffers {
 	pb, _ := e.pubScratch.Get().(*publishBuffers)
 	if pb == nil {

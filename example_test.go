@@ -110,9 +110,10 @@ func ExampleEmbedded_prune() {
 	// generalized entry matches partial event: true
 }
 
-// ExampleWorkload samples the paper's auction workload deterministically.
-func ExampleWorkload() {
-	w, err := dimprune.NewWorkload(dimprune.DefaultWorkloadConfig())
+// ExampleNewWorkloadGenerator samples the paper's auction workload
+// deterministically.
+func ExampleNewWorkloadGenerator() {
+	w, err := dimprune.NewWorkloadGenerator("auction", 1)
 	if err != nil {
 		fmt.Println(err)
 		return

@@ -22,7 +22,7 @@ func main() {
 }
 
 func run() error {
-	w, err := dimprune.NewWorkload(dimprune.DefaultWorkloadConfig())
+	w, err := dimprune.NewWorkloadGenerator("auction", 1)
 	if err != nil {
 		return err
 	}

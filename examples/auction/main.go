@@ -43,7 +43,7 @@ func run() error {
 }
 
 func runDimension(dim dimprune.Dimension) error {
-	w, err := dimprune.NewWorkload(dimprune.DefaultWorkloadConfig())
+	w, err := dimprune.NewWorkloadGenerator("auction", 1)
 	if err != nil {
 		return err
 	}

@@ -64,7 +64,7 @@ func run() error {
 // runOverlay builds the overlay, optionally prunes half of each broker's
 // possible prunings, publishes the event stream, and reports traffic.
 func runOverlay(dim dimprune.Dimension, prune bool) (frames uint64, prunings int, deliveries int, err error) {
-	w, err := dimprune.NewWorkload(dimprune.DefaultWorkloadConfig())
+	w, err := dimprune.NewWorkloadGenerator("auction", 1)
 	if err != nil {
 		return 0, 0, 0, err
 	}

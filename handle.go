@@ -201,7 +201,9 @@ func (h *Handle) Ack(seq uint64) error {
 // Delivered returns how many notifications the subscription's consumer
 // has received: enqueue count for channel handles (the buffer is part of
 // the consumer's side), completed callback invocations for callback
-// handles — backlog discarded by Unsubscribe is not "delivered".
+// handles — backlog discarded by Unsubscribe is not "delivered". The count
+// can trail an item the consumer has already received: a channel item is
+// counted after the send, a callback after it returns.
 func (h *Handle) Delivered() uint64 {
 	if h.cb != nil {
 		return h.consumed.Load()

@@ -12,9 +12,9 @@ import (
 // buildAuctionOverlay wires the auction workload into a 5-broker line with
 // the given pruning dimension and returns the overlay plus the original
 // subscriptions keyed by ID.
-func buildAuctionOverlay(t *testing.T, dim Dimension, subs, train int) (*Overlay, map[uint64]*Subscription, *Workload) {
+func buildAuctionOverlay(t *testing.T, dim Dimension, subs, train int) (*Overlay, map[uint64]*Subscription, WorkloadGenerator) {
 	t.Helper()
-	w, err := NewWorkload(DefaultWorkloadConfig())
+	w, err := NewWorkloadGenerator("auction", 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,9 +2,11 @@
 // spirit of golang.org/x/tools/go/analysis: an Analyzer inspects one
 // type-checked package and reports Diagnostics. It exists because the
 // repo's load-bearing invariants — encode-once reference ownership, the
-// broker's two-plane locking, pooled-buffer escape rules, hot-path
-// allocation discipline — lived only in prose (ARCHITECTURE.md, code
-// comments) until dimlint turned them into build-failing checks. The framework is deliberately x/tools-shaped so
+// broker's two-plane locking, hot-path allocation discipline — lived only
+// in prose (ARCHITECTURE.md, code comments) until dimlint turned them into
+// build-failing checks. The decode-copies-out contract of pooled buffers
+// is a test instead (TestPooledReadBufferNeverEscapes plus the -race
+// suites). The framework is deliberately x/tools-shaped so
 // the analyzers could be ported to the real go/analysis API verbatim if
 // the dependency ever becomes available; it is built on the standard
 // library only (go/ast, go/types, go/importer).
@@ -49,8 +51,8 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-	// Dirs exposes the package's dimlint directives (hotpath, locked,
-	// pooled marks); ignore directives are applied by the driver.
+	// Dirs exposes the package's dimlint directives (hotpath and locked
+	// marks); ignore directives are applied by the driver.
 	Dirs *Directives
 
 	report func(Diagnostic)

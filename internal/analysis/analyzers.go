@@ -8,7 +8,6 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		Refbalance,  // PR 4: encode-once frame ownership
 		Lockplane,   // PR 3: two-plane locking discipline
-		Poolescape,  // PR 4: decode-copies-out of pooled buffers
 		Hotpathiter, // PR 6: dense-slice hot path, no fmt
 	}
 }

@@ -20,12 +20,6 @@ import (
 //	    the body from the lock-before-mutate rule and instead requires
 //	    every caller to hold the lock (or be annotated itself).
 //
-//	//dimlint:pooled
-//	    On a function declaration: the function is a pool accessor — it
-//	    hands a pooled buffer to its caller by contract. poolescape allows
-//	    its returns and instead treats its call results as pooled in every
-//	    caller.
-//
 //	//dimlint:ignore <analyzer> <reason>
 //	    Suppresses <analyzer>'s diagnostics on the same line and the line
 //	    directly below (so the directive can trail the flagged statement
@@ -64,7 +58,7 @@ func ParseDirectives(fset *token.FileSet, files []*ast.File) *Directives {
 			}
 			for _, c := range fd.Doc.List {
 				switch kind, _ := parseDirective(c.Text); kind {
-				case "hotpath", "locked", "pooled":
+				case "hotpath", "locked":
 					marks := d.funcMarks[fd]
 					if marks == nil {
 						marks = make(map[string]bool)
@@ -116,7 +110,7 @@ func parseDirective(text string) (kind, rest string) {
 }
 
 // FuncHas reports whether fd carries the given doc-comment mark
-// ("hotpath", "locked", "pooled").
+// ("hotpath" or "locked").
 func (d *Directives) FuncHas(fd *ast.FuncDecl, mark string) bool {
 	return fd != nil && d.funcMarks[fd][mark]
 }

@@ -46,35 +46,6 @@ func handoffChannel(ch chan *Frame) {
 	ch <- f
 }
 
-func useAfterRelease() {
-	f := encode()
-	f.Release()
-	_ = f.Len() // want "refbalance: use of frame f after Release"
-}
-
-func doubleRelease() {
-	f := encode()
-	f.Release()
-	f.Release() // want "refbalance: frame f Released twice on this path"
-}
-
-func reassigned() {
-	f := encode()
-	f.Release()
-	f = encode()
-	_ = f.Len()
-	f.Release()
-}
-
-func conditionalRelease(ok bool) {
-	f := encode()
-	if ok {
-		f.Release()
-		return
-	}
-	f.Release()
-}
-
 func retainUnbalanced() {
 	f := encode()
 	f.Retain(2) // want "refbalance: Retain on f in a function that never hands the frame off"

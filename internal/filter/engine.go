@@ -423,8 +423,6 @@ func (e *Engine) indexRemove(id predID, p subscription.Predicate) {
 // engine's current predicate and subscription capacities. Masks are zero
 // whenever a scratch sits in the pool (the counting phase resets the slots
 // it touched), so growth only needs to preserve that invariant.
-//
-//dimlint:pooled
 func (e *Engine) getScratch() *matchScratch {
 	sc, _ := e.scratch.Get().(*matchScratch)
 	if sc == nil {

@@ -201,7 +201,8 @@ func (s *consumer[T]) C() <-chan T {
 }
 
 // Delivered returns how many items the subscription has accepted for
-// delivery (a durable's redeliveries included).
+// delivery (a durable's redeliveries included). The count can trail an
+// item the consumer has already received: it is taken after the send.
 func (s *consumer[T]) Delivered() uint64 { return s.q.Enqueued() }
 
 // unsubscribe retires the handle after retract, whose error only the call

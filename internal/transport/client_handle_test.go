@@ -67,6 +67,12 @@ func TestClientHandleChannelDelivery(t *testing.T) {
 			t.Fatalf("timed out waiting for event %d", want)
 		}
 	}
+	// Enqueue counts an item after handing it to the channel, so the
+	// count can trail the receive above.
+	deadline := time.Now().Add(2 * time.Second)
+	for h.Delivered() != 2 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
 	if h.Delivered() != 2 || h.Dropped() != 0 {
 		t.Errorf("delivered=%d dropped=%d, want 2/0", h.Delivered(), h.Dropped())
 	}

@@ -212,8 +212,6 @@ var payloadPool = sync.Pool{
 // decoders never alias their input — every string is copied (or interned)
 // out — so the buffer is safe to reuse the moment decoding returns. The
 // no-alias invariant is enforced by TestPooledReadBufferNeverEscapes.
-//
-//dimlint:pooled
 func getPayload(n int) ([]byte, *[]byte) {
 	if n > maxPooledPayload {
 		return make([]byte, n), nil

@@ -1,11 +1,11 @@
 package dimprune
 
 import (
-	"dimprune/internal/auction"
 	"dimprune/internal/workload"
 
 	// Populate the workload registry with the standard scenarios; see
 	// WorkloadNames for what importing this package makes available.
+	_ "dimprune/internal/auction"
 	_ "dimprune/internal/sensornet"
 	_ "dimprune/internal/ticker"
 )
@@ -42,31 +42,3 @@ func WorkloadNames() []string { return workload.Names() }
 
 // LookupWorkload returns the registration for a workload name.
 func LookupWorkload(name string) (WorkloadInfo, bool) { return workload.Lookup(name) }
-
-// Auction-workload re-exports: the online book-auction generator used by
-// the paper's evaluation, with its class and config types.
-
-// WorkloadConfig parameterizes the auction workload generator.
-type WorkloadConfig = auction.Config
-
-// Workload generates auction events and subscriptions deterministically.
-type Workload = auction.Generator
-
-// WorkloadClass identifies the three subscription classes.
-type WorkloadClass = auction.Class
-
-// Subscription classes of the auction workload.
-const (
-	// TitleWatcher tracks one specific book below a price limit.
-	TitleWatcher = auction.ClassTitleWatcher
-	// CategoryHunter browses categories for discounted, well-rated listings.
-	CategoryHunter = auction.ClassCategoryHunter
-	// AuthorCollector follows several authors with price/format constraints.
-	AuthorCollector = auction.ClassAuthorCollector
-)
-
-// DefaultWorkloadConfig returns the experiment workload parameters.
-func DefaultWorkloadConfig() WorkloadConfig { return auction.DefaultConfig() }
-
-// NewWorkload builds an auction workload generator.
-func NewWorkload(cfg WorkloadConfig) (*Workload, error) { return auction.NewGenerator(cfg) }
