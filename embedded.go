@@ -16,8 +16,10 @@ type EmbeddedConfig struct {
 	Dimension Dimension
 	// PruneOptions tunes the pruning engine.
 	PruneOptions PruneOptions
-	// LearnFromEvents updates the selectivity model with every published
-	// event (default true), keeping Δ≈sel ratings current.
+	// DisableLearning stops the selectivity model from learning from
+	// published events. By default (false) every published event updates
+	// the model, keeping Δ≈sel ratings current; set it to keep a
+	// pre-trained model (see Model) fixed.
 	DisableLearning bool
 	// WALDir enables the durable plane: published events are logged to a
 	// segmented write-ahead log in this directory whenever durable

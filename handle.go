@@ -2,20 +2,19 @@ package dimprune
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"dimprune/internal/broker"
 	"dimprune/internal/delivery"
 	"dimprune/internal/wal"
-	"dimprune/internal/wire"
 )
 
 // Handle is one registered subscription and the owner of its delivery.
 // SubscribeExpr and SubscribeTree return a handle per subscription; the
 // handle delivers either on a buffered channel (C, the default) or by a
 // dedicated-goroutine callback (WithCallback), with a per-subscription
-// queue between the match path and the consumer.
+// queue between the match path and the consumer. Durable handles
+// (WithDurable) are fed from the WAL instead, through the same queue, and
+// their callbacks run on the same delivery goroutine.
 //
 // Publish enqueues matches onto that queue and moves on, so a consumer
 // that falls behind affects only its own subscription: under DropOldest
@@ -31,71 +30,40 @@ type Handle struct {
 	e          *Embedded
 	meter      *broker.DeliveryMeter
 
-	// q is the delivery queue; nil only for durable callback handles,
-	// whose replay pump invokes the callback directly.
-	q  *delivery.Queue[Notification]
-	cb func(Notification) // callback mode: invoked by the drain goroutine
+	// consumer is the handle's queue and delivery mode. The meter is fed
+	// where Delivered counts: at enqueue for channel handles (enqueue), at
+	// completed invocation for callback handles (newHandle's wrapper).
+	consumer delivery.Consumer[Notification]
 
-	// discard, set by Unsubscribe before the queue closes, tells the
-	// drain goroutine to stop delivering: unsubscription means "no more
-	// notifications", while Close (which leaves discard unset) means
-	// "finish the backlog".
-	discard   atomic.Bool
-	drainDone chan struct{} // closed when the callback drainer exits; nil otherwise
-
-	// consumed counts callback invocations that actually ran — the
-	// delivered figure for callback handles, where enqueue-time counting
-	// would include a discarded backlog (see Delivered).
-	consumed atomic.Uint64
-
-	// Durable plane (WithDurable): the handle is fed by pumpLoop replaying
-	// the engine's WAL through cursor, not by the live deliver path.
+	// Durable plane (WithDurable): the handle is fed by pump replaying the
+	// engine's WAL through cursor, not by the live deliver path.
 	durable   string
 	manualAck bool
 	cursor    *wal.Cursor
 	pumpStop  chan struct{}
 	pumpDone  chan struct{}
-
-	retireOnce sync.Once
-	retireErr  error
 }
 
 // newHandle wires a handle for the given options.
 func newHandle(e *Embedded, id uint64, o subOptions) *Handle {
-	h := &Handle{id: id, subscriber: o.subscriber, e: e, cb: o.callback}
-	if o.durable != "" {
-		// Durable: pumpLoop (started by SubscribeTree once the cursor is
-		// attached) feeds the consumer directly in callback mode, or
-		// through an internal Block queue in channel mode — the WAL is
-		// the buffer, so drop policies don't apply.
-		h.durable, h.manualAck = o.durable, o.manualAck
-		h.pumpStop = make(chan struct{})
-		if h.cb == nil {
-			h.q = delivery.New[Notification](o.buffer, delivery.Block)
+	h := &Handle{id: id, subscriber: o.subscriber, e: e, durable: o.durable, manualAck: o.manualAck}
+	cb, policy := o.callback, o.policy
+	if cb != nil {
+		cb = func(n Notification) {
+			o.callback(n)
+			h.meter.NoteDelivered(1)
+			if h.durable != "" && !h.manualAck {
+				_ = h.Ack(n.Seq)
+			}
 		}
-		return h
 	}
-	h.q = delivery.New[Notification](o.buffer, o.policy)
-	if h.cb != nil {
-		h.drainDone = make(chan struct{})
-		go h.drainLoop()
+	if h.durable != "" {
+		// The WAL is the buffer, so drop policies don't apply: the pump
+		// waits for the consumer instead.
+		policy = delivery.Block
 	}
+	h.consumer.Init(o.buffer, policy, cb)
 	return h
-}
-
-// drainLoop is the dedicated delivery goroutine of a callback handle.
-func (h *Handle) drainLoop() {
-	defer close(h.drainDone)
-	for n := range h.q.C() {
-		if h.discard.Load() {
-			continue
-		}
-		h.cb(n)
-		// Delivered-at-invocation: counting at enqueue time inflated the
-		// meter with backlog that Unsubscribe later discarded.
-		h.consumed.Add(1)
-		h.meter.NoteDelivered(1)
-	}
 }
 
 // startPump attaches the durable cursor and launches the replay pump.
@@ -103,56 +71,21 @@ func (h *Handle) drainLoop() {
 // handle unwound before this point has no pump to wait for.
 func (h *Handle) startPump(root *Node, c *wal.Cursor) {
 	h.cursor = c
-	h.pumpDone = make(chan struct{})
-	go h.pumpLoop(root)
+	h.pumpStop, h.pumpDone = make(chan struct{}), make(chan struct{})
+	go h.pump(root)
 }
 
-// pumpLoop is the delivery goroutine of a durable handle: it replays the
-// engine's WAL from the durable cursor, matching each logged event against
-// the subscription tree exactly (replay matching is unaffected by pruning
-// — the log predates the routing table's approximations). Matching events
-// are delivered with their log sequence; non-matching ones advance the
-// cursor via Skip so retention is not held back. The loop exits when the
-// handle retires, the cursor detaches, or the store closes.
-func (h *Handle) pumpLoop(root *Node) {
+// pump is the delivery goroutine of a durable handle: it replays the
+// engine's WAL from the durable cursor into the handle's queue, matching
+// each logged event against the subscription tree exactly (replay
+// matching is unaffected by pruning — the log predates the routing
+// table's approximations). It exits when the handle retires, the cursor
+// detaches, the store closes, or a record does not decode.
+func (h *Handle) pump(root *Node) {
 	defer close(h.pumpDone)
-	for {
-		seq, payload, err := h.cursor.Next(h.pumpStop)
-		if err != nil {
-			return
-		}
-		m, _, err := wire.DecodeMessage(payload)
-		if err != nil {
-			// Recovery CRC-checks every record, so a decode failure means
-			// a foreign or future-versioned log; skipping would silently
-			// lose data, so stop the pump instead.
-			return
-		}
-		if !root.Matches(m) {
-			h.cursor.Skip(seq)
-			continue
-		}
-		n := Notification{Subscriber: h.subscriber, SubID: h.id, Seq: seq, Msg: m}
-		if h.cb != nil {
-			if h.discard.Load() {
-				return
-			}
-			h.cb(n)
-			h.consumed.Add(1)
-			h.meter.NoteDelivered(1)
-			if !h.manualAck {
-				if err := h.cursor.Ack(seq); err != nil {
-					return
-				}
-			}
-			continue
-		}
-		accepted, _ := h.q.Enqueue(n)
-		if !accepted {
-			return // queue closed: the handle is retiring
-		}
-		h.meter.NoteDelivered(1)
-	}
+	_ = h.cursor.Replay(h.pumpStop, root.Matches, func(seq uint64, m *Message) bool {
+		return h.enqueue(Notification{Subscriber: h.subscriber, SubID: h.id, Seq: seq, Msg: m})
+	})
 }
 
 // ID returns the subscription's identifier.
@@ -166,12 +99,7 @@ func (h *Handle) Subscriber() string { return h.subscriber }
 // is closed when the handle retires (buffered notifications stay
 // receivable after Unsubscribe/Close). C returns nil for callback-mode
 // subscriptions.
-func (h *Handle) C() <-chan Notification {
-	if h.cb != nil {
-		return nil
-	}
-	return h.q.C()
-}
+func (h *Handle) C() <-chan Notification { return h.consumer.C() }
 
 // Policy returns the handle's delivery policy: the queue's backpressure
 // policy for buffered subscriptions, Persist for durable ones.
@@ -179,7 +107,7 @@ func (h *Handle) Policy() Policy {
 	if h.durable != "" {
 		return Persist
 	}
-	return h.q.Policy()
+	return h.consumer.Policy()
 }
 
 // Durable returns the durable name given via WithDurable, or "" for an
@@ -204,21 +132,11 @@ func (h *Handle) Ack(seq uint64) error {
 // handles — backlog discarded by Unsubscribe is not "delivered". The count
 // can trail an item the consumer has already received: a channel item is
 // counted after the send, a callback after it returns.
-func (h *Handle) Delivered() uint64 {
-	if h.cb != nil {
-		return h.consumed.Load()
-	}
-	return h.q.Enqueued()
-}
+func (h *Handle) Delivered() uint64 { return h.consumer.Delivered() }
 
 // Dropped returns how many notifications the backpressure policy has shed
 // (always 0 under Block).
-func (h *Handle) Dropped() uint64 {
-	if h.q == nil {
-		return 0
-	}
-	return h.q.Dropped()
-}
+func (h *Handle) Dropped() uint64 { return h.consumer.Dropped() }
 
 // Unsubscribe retracts the subscription and retires the handle: once it
 // returns, no new notification is enqueued. In callback mode the queued
@@ -241,44 +159,30 @@ func (h *Handle) Unsubscribe() error {
 // that performs the retirement sees its error; later calls no-op and
 // return nil.
 func (h *Handle) retire(discard, unregister bool) error {
-	ran := false
-	h.retireOnce.Do(func() {
-		ran = true
+	return h.consumer.Retire(discard, func() (err error) {
 		if unregister {
-			h.retireErr = h.e.forget(h.id)
+			err = h.e.forget(h.id)
 		}
-		h.discard.Store(discard)
-		if h.pumpStop != nil {
-			close(h.pumpStop)
+		if h.cursor == nil {
+			return err
 		}
-		if h.q != nil {
-			h.q.Close()
-		}
-		if h.drainDone != nil {
-			<-h.drainDone
-		}
-		if h.pumpDone != nil {
-			<-h.pumpDone
-		}
-		if h.cursor != nil {
-			h.cursor.Detach()
-			if unregister {
-				// Unsubscribe ends the durable itself: drop its cursor so
-				// it stops holding log segments. Close/Kill leave the
-				// registration for the next attach.
-				if err := h.e.wal.Forget(h.durable); err != nil && h.retireErr == nil {
-					h.retireErr = err
-				}
+		// The closed queue has already refused the pump's next enqueue.
+		close(h.pumpStop)
+		<-h.pumpDone
+		h.cursor.Detach()
+		if unregister {
+			// Unsubscribe ends the durable itself: drop its cursor so it
+			// stops holding log segments. Close/Kill leave the
+			// registration for the next attach.
+			if ferr := h.e.wal.Forget(h.durable); ferr != nil && err == nil {
+				err = ferr
 			}
 		}
+		return err
 	})
-	if !ran {
-		return nil
-	}
-	return h.retireErr
 }
 
-// deliver hands one notification to the handle's consumer. It runs after
+// deliver hands one live match to the handle's consumer. It runs after
 // the matching lock is released.
 func (h *Handle) deliver(n Notification) {
 	if h.durable != "" {
@@ -287,14 +191,19 @@ func (h *Handle) deliver(n Notification) {
 		// through the log, with its sequence number attached.
 		return
 	}
-	accepted, dropped := h.q.Enqueue(n)
-	if accepted && h.cb == nil {
-		// Callback handles count delivery at invocation (drainLoop), not
-		// at enqueue — an enqueued-then-discarded backlog was never
-		// delivered to anyone.
+	h.enqueue(n)
+}
+
+// enqueue offers n to the consumer and meters the outcome, reporting
+// whether the queue accepted it. Callback handles are metered at
+// invocation instead: a backlog Unsubscribe discards was never delivered.
+func (h *Handle) enqueue(n Notification) bool {
+	accepted, dropped := h.consumer.Enqueue(n)
+	if accepted && h.consumer.C() != nil {
 		h.meter.NoteDelivered(1)
 	}
 	if dropped > 0 {
 		h.meter.NoteDropped(uint64(dropped))
 	}
+	return accepted
 }

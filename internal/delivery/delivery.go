@@ -1,12 +1,17 @@
 // Package delivery implements the per-subscriber delivery plane: bounded
-// notification queues with explicit backpressure policies.
+// notification queues with explicit backpressure policies, and the one
+// Consumer every subscription handle is built on.
 //
-// A Queue decouples the parallel match path from consumers the same way
+// A Queue decouples the match path from consumers the same way
 // transport's per-peer outboxes decouple the broker from slow sockets:
 // publishers enqueue and move on, consumers drain at their own pace, and a
 // per-subscription Policy decides what happens when the consumer falls
-// behind its buffer. Both the embedded engine's subscription handles and
-// the networked client's handles are built on it.
+// behind its buffer. A Consumer wraps one Queue with the rest of a
+// handle's delivery half — channel or callback mode, the callback's drain
+// goroutine, discard-on-unsubscribe, retire-once — and is the single type
+// behind the embedded engine's handles and the networked client's
+// ephemeral and durable handles. Durable handles fill theirs from a WAL
+// replay (wal.Cursor.Replay) instead of the live match path.
 package delivery
 
 import (
@@ -32,8 +37,8 @@ const (
 	// replayed from the broker's event log until acked, so nothing is shed
 	// and nothing is lost across reconnects or restarts. It is not a queue
 	// policy — Queue rejects it (Valid is false); the durable plane
-	// implements it with a cursor over the log feeding an internal Block
-	// queue.
+	// implements it with wal.Cursor.Replay feeding a Consumer over an
+	// internal Block queue, in callback mode too.
 	Persist
 )
 
@@ -193,4 +198,91 @@ func (q *Queue[T]) Close() {
 		// observes closed before touching ch, so closing ch is safe.
 		close(q.ch)
 	})
+}
+
+// Consumer is the delivery half every subscription handle shares: a
+// bounded Queue that the match path, a session reader or a WAL replay
+// fills, emptied either over C or by a dedicated goroutine invoking a
+// callback, and retired exactly once. The zero value is unusable; call
+// Init before anything enqueues or retires.
+type Consumer[T any] struct {
+	q  *Queue[T]
+	cb func(T)
+
+	// discard, set by Retire(true) before the queue closes, tells the
+	// drain goroutine to stop invoking cb: unsubscription means "no more
+	// notifications", while a plain retirement means "finish the backlog".
+	discard    atomic.Bool
+	drainDone  chan struct{} // non-nil in callback mode
+	invoked    atomic.Uint64 // completed callback invocations
+	retireOnce sync.Once
+}
+
+// Init creates the queue and, in callback mode (cb non-nil), starts the
+// drain goroutine that invokes cb for each item in queue order.
+func (c *Consumer[T]) Init(buffer int, policy Policy, cb func(T)) {
+	c.q, c.cb = New[T](buffer, policy), cb
+	if cb == nil {
+		return
+	}
+	c.drainDone = make(chan struct{})
+	go func() {
+		defer close(c.drainDone)
+		for v := range c.q.C() {
+			if c.discard.Load() {
+				continue
+			}
+			c.cb(v)
+			c.invoked.Add(1)
+		}
+	}()
+}
+
+// Enqueue offers v to the queue under its policy; see Queue.Enqueue.
+func (c *Consumer[T]) Enqueue(v T) (accepted bool, dropped int) { return c.q.Enqueue(v) }
+
+// C returns the delivery channel, or nil in callback mode.
+func (c *Consumer[T]) C() <-chan T {
+	if c.cb != nil {
+		return nil
+	}
+	return c.q.C()
+}
+
+// Delivered returns how many items reached the consumer: items accepted
+// onto the queue in channel mode (the buffer is the consumer's side),
+// completed invocations in callback mode — a backlog Retire discarded was
+// never delivered. The count can trail an item the consumer already has:
+// a channel item is counted after the send, a callback after it returns.
+func (c *Consumer[T]) Delivered() uint64 {
+	if c.cb != nil {
+		return c.invoked.Load()
+	}
+	return c.q.Enqueued()
+}
+
+// Dropped returns how many items the queue's policy has shed.
+func (c *Consumer[T]) Dropped() uint64 { return c.q.Dropped() }
+
+// Policy returns the queue's backpressure policy.
+func (c *Consumer[T]) Policy() Policy { return c.q.Policy() }
+
+// Retire tears the consumer down once: the queue closes (buffered items
+// stay receivable on C), a callback consumer's drain goroutine finishes
+// the backlog — or drops it when discard is set — and exits, and then
+// finish runs if non-nil. When Retire returns, no callback invocation is
+// pending. Only the call that performs the retirement returns finish's
+// error; later calls wait for it and return nil.
+func (c *Consumer[T]) Retire(discard bool, finish func() error) (err error) {
+	c.retireOnce.Do(func() {
+		c.discard.Store(discard)
+		c.q.Close()
+		if c.drainDone != nil {
+			<-c.drainDone
+		}
+		if finish != nil {
+			err = finish()
+		}
+	})
+	return err
 }

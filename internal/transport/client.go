@@ -112,7 +112,7 @@ func (c *Client) readLoop() {
 			d := c.durables[f.Name]
 			c.mu.RUnlock()
 			if d != nil {
-				d.q.Enqueue(DurableEvent{Seq: f.Seq, Msg: f.Msg})
+				d.consumer.Enqueue(DurableEvent{Seq: f.Seq, Msg: f.Msg})
 			}
 			continue
 		}
@@ -131,7 +131,7 @@ func (c *Client) readLoop() {
 		}
 		c.mu.RUnlock()
 		for _, h := range targets {
-			h.q.Enqueue(f.Msg)
+			h.consumer.Enqueue(f.Msg)
 		}
 	}
 }
@@ -147,89 +147,10 @@ func (c *Client) readLoop() {
 // stalls the whole session's delivery; sessions that must never stall use
 // DropOldest or DropNewest and watch Dropped.
 type Handle struct {
-	id   uint64
-	c    *Client
-	root *subscription.Node
-	consumer[*event.Message]
-}
-
-// consumer is the delivery half every handle kind shares: a bounded queue
-// the session reader fills, emptied over C or by a dedicated goroutine
-// invoking a callback, and retired exactly once.
-type consumer[T any] struct {
-	q  *delivery.Queue[T]
-	cb func(T)
-
-	discard    atomic.Bool
-	drainDone  chan struct{} // non-nil in callback mode
-	retireOnce sync.Once
-}
-
-// init wires the queue. It runs before the handle is discoverable: a
-// session that ends right then retires the handle from the read loop,
-// which waits on drainDone.
-func (s *consumer[T]) init(buffer int, policy delivery.Policy, cb func(T)) {
-	s.q, s.cb = delivery.New[T](buffer, policy), cb
-	if cb != nil {
-		s.drainDone = make(chan struct{})
-	}
-}
-
-// start launches the dedicated delivery goroutine of a callback handle.
-func (s *consumer[T]) start() {
-	if s.cb == nil {
-		return
-	}
-	go func() {
-		defer close(s.drainDone)
-		for v := range s.q.C() {
-			if !s.discard.Load() {
-				s.cb(v)
-			}
-		}
-	}()
-}
-
-// C returns the delivery channel: arrival order, up to the configured
-// buffer, closed when the handle retires or the session ends (buffered
-// items stay receivable). C returns nil in callback mode.
-func (s *consumer[T]) C() <-chan T {
-	if s.cb != nil {
-		return nil
-	}
-	return s.q.C()
-}
-
-// Delivered returns how many items the subscription has accepted for
-// delivery (a durable's redeliveries included). The count can trail an
-// item the consumer has already received: it is taken after the send.
-func (s *consumer[T]) Delivered() uint64 { return s.q.Enqueued() }
-
-// unsubscribe retires the handle after retract, whose error only the call
-// that performs the retirement sees; later calls are no-ops returning nil.
-// The queued backlog of a callback handle is discarded, and a pending
-// invocation has completed when unsubscribe returns.
-func (s *consumer[T]) unsubscribe(retract func() error) (err error) {
-	s.retireOnce.Do(func() {
-		err = retract()
-		s.shutdown(true)
-	})
-	return err
-}
-
-// retire tears the handle down without touching the client registry or
-// the wire (session teardown paths).
-func (s *consumer[T]) retire(discard bool) {
-	s.retireOnce.Do(func() { s.shutdown(discard) })
-}
-
-// shutdown closes the queue and waits out the delivery goroutine.
-func (s *consumer[T]) shutdown(discard bool) {
-	s.discard.Store(discard)
-	s.q.Close()
-	if s.drainDone != nil {
-		<-s.drainDone
-	}
+	id       uint64
+	c        *Client
+	root     *subscription.Node
+	consumer delivery.Consumer[*event.Message]
 }
 
 // subOptions collects one subscription's settings.
@@ -299,15 +220,14 @@ func (c *Client) SubscribeNode(root *subscription.Node, opts ...SubOption) (*Han
 		return nil, err
 	}
 	h := &Handle{id: id, c: c, root: s.Root}
-	h.init(o.buffer, o.policy, o.callback)
+	h.consumer.Init(o.buffer, o.policy, o.callback)
 	c.handles[id] = h
 	c.mu.Unlock()
-	h.start()
 	if err := c.conn.Send(wire.SubscribeFrame(s)); err != nil {
 		c.mu.Lock()
 		delete(c.handles, id)
 		c.mu.Unlock()
-		h.retire(true)
+		_ = h.consumer.Retire(true, nil)
 		return nil, err
 	}
 	return h, nil
@@ -316,12 +236,24 @@ func (c *Client) SubscribeNode(root *subscription.Node, opts ...SubOption) (*Han
 // ID returns the auto-assigned subscription ID.
 func (h *Handle) ID() uint64 { return h.id }
 
+// C returns the delivery channel: arrival order, up to the configured
+// buffer, closed when the handle retires or the session ends (buffered
+// events stay receivable). C returns nil in callback mode.
+func (h *Handle) C() <-chan *event.Message { return h.consumer.C() }
+
 // Policy returns the handle's backpressure policy.
-func (h *Handle) Policy() delivery.Policy { return h.q.Policy() }
+func (h *Handle) Policy() delivery.Policy { return h.consumer.Policy() }
+
+// Delivered returns how many events reached the consumer: events accepted
+// onto the queue in channel mode, completed callback invocations in
+// callback mode — a backlog Unsubscribe discarded is not delivered. The
+// count can trail an event the consumer already has: a channel event is
+// counted after the send, a callback after it returns.
+func (h *Handle) Delivered() uint64 { return h.consumer.Delivered() }
 
 // Dropped returns how many events the backpressure policy has shed
 // (always 0 under Block).
-func (h *Handle) Dropped() uint64 { return h.q.Dropped() }
+func (h *Handle) Dropped() uint64 { return h.consumer.Dropped() }
 
 // Unsubscribe retracts the subscription and retires the handle: the
 // retraction is sent to the broker, the handle stops receiving, and
@@ -334,7 +266,7 @@ func (h *Handle) Dropped() uint64 { return h.q.Dropped() }
 // session ended — is a no-op returning nil. Must not be called from the
 // handle's own callback.
 func (h *Handle) Unsubscribe() error {
-	return h.unsubscribe(func() error {
+	return h.consumer.Retire(true, func() error {
 		h.c.mu.Lock()
 		delete(h.c.handles, h.id)
 		h.c.mu.Unlock()
@@ -359,10 +291,10 @@ func (c *Client) retireHandles() {
 	c.durableIDs = make(map[uint64]struct{})
 	c.mu.Unlock()
 	for _, h := range hs {
-		h.retire(false)
+		_ = h.consumer.Retire(false, nil)
 	}
 	for _, d := range ds {
-		d.retire(false)
+		_ = d.consumer.Retire(false, nil)
 	}
 }
 

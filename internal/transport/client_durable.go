@@ -41,11 +41,10 @@ type DurableEvent struct {
 // sending past a window of unacked records, so backpressure reaches the
 // log instead of ballooning in memory.
 type DurableHandle struct {
-	name string
-	id   uint64
-	c    *Client
-
-	consumer[DurableEvent]
+	name     string
+	id       uint64
+	c        *Client
+	consumer delivery.Consumer[DurableEvent]
 }
 
 // durableOptions collects one durable subscription's settings.
@@ -133,17 +132,16 @@ func (c *Client) DurableSubscribeNode(name string, root *subscription.Node, opts
 			_ = d.Ack(ev.Seq)
 		}
 	}
-	d.init(o.buffer, delivery.Block, cb)
+	d.consumer.Init(o.buffer, delivery.Block, cb)
 	c.durables[name] = d
 	c.durableIDs[id] = struct{}{}
 	c.mu.Unlock()
-	d.start()
 	if err := c.conn.Send(wire.DurableSubscribeFrame(name, s)); err != nil {
 		c.mu.Lock()
 		delete(c.durables, name)
 		delete(c.durableIDs, id)
 		c.mu.Unlock()
-		d.retire(true)
+		_ = d.consumer.Retire(true, nil)
 		return nil, err
 	}
 	return d, nil
@@ -155,6 +153,19 @@ func (d *DurableHandle) Name() string { return d.name }
 // ID returns the subscription ID of this attachment (a new one per
 // session; the durable's identity is its name).
 func (d *DurableHandle) ID() uint64 { return d.id }
+
+// C returns the delivery channel: replay order, up to the configured
+// buffer, closed when the handle retires or the session ends (buffered
+// events stay receivable). C returns nil in callback mode.
+func (d *DurableHandle) C() <-chan DurableEvent { return d.consumer.C() }
+
+// Delivered returns how many events reached the consumer, redeliveries
+// included: events accepted onto the queue in channel mode, completed
+// callback invocations in callback mode — a backlog Unsubscribe discarded
+// is not delivered. The count can trail an event the consumer already
+// has: a channel event is counted after the send, a callback after it
+// returns.
+func (d *DurableHandle) Delivered() uint64 { return d.consumer.Delivered() }
 
 // Ack marks every record up to and including seq as processed: the broker
 // persists the position, never redelivers past it, and may reclaim the
@@ -170,7 +181,7 @@ func (d *DurableHandle) Ack(seq uint64) error {
 // To merely detach (resume later from the cursor), close the session
 // instead. Idempotent after the handle retired.
 func (d *DurableHandle) Unsubscribe() error {
-	return d.unsubscribe(func() error {
+	return d.consumer.Retire(true, func() error {
 		d.c.mu.Lock()
 		if d.c.durables[d.name] == d {
 			delete(d.c.durables, d.name)

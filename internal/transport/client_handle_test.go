@@ -114,6 +114,50 @@ func TestClientHandleCallbackAndUnsubscribe(t *testing.T) {
 	}
 }
 
+// TestClientCallbackDeliveredCountsInvocations mirrors the embedded
+// handle's test: a callback handle's Delivered counts completed
+// invocations, so the backlog Unsubscribe discards is not delivered.
+func TestClientCallbackDeliveredCountsInvocations(t *testing.T) {
+	srv, c := handleTestServer(t, "eve")
+	gate := make(chan struct{})
+	entered := make(chan struct{}, 8)
+	h, err := c.SubscribeExpr(`x >= 0`, WithBuffer(8), WithCallback(func(*event.Message) {
+		entered <- struct{}{}
+		<-gate
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The session reader fills queues in frame order, so once the marker
+	// reaches this handle all five events are queued on h.
+	marker, err := c.SubscribeExpr(`marker = 1`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitLocalSubs(t, srv, 2)
+	for i := 0; i < 5; i++ {
+		srv.Publish(event.Build(uint64(i+1)).Int("x", int64(i)).Msg())
+	}
+	srv.Publish(event.Build(6).Int("marker", 1).Msg())
+	select {
+	case <-marker.C():
+	case <-time.After(2 * time.Second):
+		t.Fatal("marker never arrived")
+	}
+	<-entered // first callback is in flight, four more are queued
+	unsubDone := make(chan error)
+	go func() { unsubDone <- h.Unsubscribe() }()
+	// Let Unsubscribe set discard while the first callback still blocks.
+	time.Sleep(10 * time.Millisecond)
+	close(gate)
+	if err := <-unsubDone; err != nil {
+		t.Fatalf("Unsubscribe: %v", err)
+	}
+	if got := h.Delivered(); got != 1 {
+		t.Fatalf("Delivered = %d after discard, want 1 (completed invocations only)", got)
+	}
+}
+
 func TestClientHandleDropOldest(t *testing.T) {
 	srv, c := handleTestServer(t, "eve")
 	h, err := c.SubscribeExpr(`x = 1`, WithBuffer(2), WithPolicy(delivery.DropOldest))

@@ -17,6 +17,7 @@ package transport
 // path.
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -189,10 +190,13 @@ func (s *Server) durableAck(name string, seq uint64) {
 	}
 }
 
-// runDurable is the replay pump. It exits when the session is halted
-// (reattach, unsubscribe, shutdown), the store closes, or the owning
-// client session is gone — a reconnecting client re-sends its durable
-// subscribe, which restarts the pump from the cursor.
+// runDurable is the replay pump: wal.Cursor.Replay with an emit that
+// pushes each match to the owning session's outbox and then holds the
+// durableWindow. It exits when the session is halted (reattach,
+// unsubscribe, shutdown), the store closes, the owning client session is
+// gone — a reconnecting client re-sends its durable subscribe, which
+// restarts the pump from the cursor — or a record does not decode, which
+// it logs.
 func (s *Server) runDurable(d *durableSession) {
 	defer func() {
 		// Self-cleanup covers the client-loss exit; halt paths already
@@ -207,43 +211,30 @@ func (s *Server) runDurable(d *durableSession) {
 		close(d.done)
 		s.wg.Done()
 	}()
-	var lastSent uint64
-	for {
+	err := d.cur.Replay(d.stop, d.root.Matches, func(seq uint64, m *event.Message) bool {
+		s.mu.RLock()
+		p := s.clients[d.subscriber]
+		s.mu.RUnlock()
+		if p == nil || !p.out.push(outItem{f: wire.DurablePublishFrame(d.name, seq, m)}) {
+			return false // client away: replay resumes on reattach
+		}
 		// Flow control: the store's acked position includes both client
-		// acks and contiguous skips, so it only passes lastSent when
-		// nothing sent is outstanding.
+		// acks and contiguous skips, so it only passes seq when nothing
+		// sent is outstanding.
 		for {
 			acked, ok := s.wal.Acked(d.name)
-			if !ok || lastSent <= acked+durableWindow {
-				break
+			if !ok || seq <= acked+durableWindow {
+				return true
 			}
 			select {
 			case <-d.ackPoke:
 			case <-d.stop:
-				return
+				return false
 			}
 		}
-		seq, payload, err := d.cur.Next(d.stop)
-		if err != nil {
-			return
-		}
-		m, _, err := wire.DecodeMessage(payload)
-		if err != nil {
-			s.logPeer("durable %q: undecodable record %d: %v", d.name, seq, err)
-			return
-		}
-		if !d.root.Matches(m) {
-			d.cur.Skip(seq)
-			continue
-		}
-		f := wire.DurablePublishFrame(d.name, seq, m)
-		s.mu.RLock()
-		p := s.clients[d.subscriber]
-		s.mu.RUnlock()
-		if p == nil || !p.out.push(outItem{f: f}) {
-			return // client away: replay resumes on reattach
-		}
-		lastSent = seq
+	})
+	if errors.Is(err, wal.ErrUndecodable) {
+		s.logPeer("durable %q: %v", d.name, err)
 	}
 }
 

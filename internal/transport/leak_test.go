@@ -1,6 +1,7 @@
 // Leak regression for the subscribe-over-dead-conn path: SubscribeNode
-// starts a callback handle's drainLoop goroutine before conn.Send and
-// relies on h.retire(true) to end it when the send fails. These tests live
+// starts a callback handle's drain goroutine (delivery.Consumer.Init)
+// before conn.Send and relies on Consumer.Retire to end it when the send
+// fails. These tests live
 // in an external package so they can borrow the chaos plane's leak
 // baseline (chaos imports transport, so the internal package would cycle).
 package transport_test

@@ -59,6 +59,8 @@ var (
 	ErrStopped = errors.New("wal: wait stopped")
 	// ErrAttached reports a second concurrent Attach of the same durable.
 	ErrAttached = errors.New("wal: durable already attached")
+	// ErrUndecodable reports a record Replay cannot decode as an event.
+	ErrUndecodable = errors.New("wal: undecodable record")
 )
 
 // DefaultSegmentBytes is the segment-rotation threshold used when
@@ -631,6 +633,35 @@ func (c *Cursor) Next(stop <-chan struct{}) (uint64, []byte, error) {
 		case <-c.poke:
 		case <-stop:
 			return 0, nil, ErrStopped
+		}
+	}
+}
+
+// Replay is the durable delivery loop, the one every durable pump runs:
+// it reads the log from the cursor, decodes each record and passes the
+// events match accepts to emit with their sequence number. Records match
+// rejects are skipped (see Skip), so retention is not held back. Replay
+// returns nil when emit returns false, and otherwise the error that ended
+// it: ErrStopped, ErrDetached, ErrClosed, or ErrUndecodable. Recovery
+// CRC-checks every record, so an undecodable one means a foreign or
+// future-versioned log; it is not skipped, since skipping would silently
+// lose data.
+func (c *Cursor) Replay(stop <-chan struct{}, match func(*event.Message) bool, emit func(seq uint64, m *event.Message) bool) error {
+	for {
+		seq, payload, err := c.Next(stop)
+		if err != nil {
+			return err
+		}
+		m, _, err := wire.DecodeMessage(payload)
+		if err != nil {
+			return fmt.Errorf("%w %d: %v", ErrUndecodable, seq, err)
+		}
+		if !match(m) {
+			c.Skip(seq)
+			continue
+		}
+		if !emit(seq, m) {
+			return nil
 		}
 	}
 }

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -271,6 +272,72 @@ func TestSkipAdvancesOnlyContiguously(t *testing.T) {
 	c.Skip(4)
 	if acked, _ := s.Acked("sub"); acked != 2 {
 		t.Fatalf("acked after gapped skip = %d, want still 2", acked)
+	}
+}
+
+// TestReplay pins the durable delivery loop every pump runs: matches are
+// emitted with their seq, non-matches are skipped contiguously, emit can
+// stop the loop, a closed stop ends it at the tail, and an undecodable
+// record ends it without being skipped.
+func TestReplay(t *testing.T) {
+	s := openTest(t, t.TempDir(), 0)
+	defer s.Close()
+	c, _ := s.Attach("sub")
+	for i, price := range []int64{1, 3, 4, 5, 6, 7} {
+		m, err := event.NewMessage(uint64(i+1), event.Attr{Name: "price", Value: event.Int(price)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.AppendMessage(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	even := func(m *event.Message) bool {
+		v, _ := m.Get("price")
+		return v.AsInt()%2 == 0
+	}
+	stop := make(chan struct{})
+	close(stop) // end each replay at the tail instead of waiting
+	var emitted []uint64
+	collect := func(more bool) func(uint64, *event.Message) bool {
+		return func(seq uint64, m *event.Message) bool {
+			if m.ID != seq {
+				t.Errorf("seq %d emitted event %d", seq, m.ID)
+			}
+			emitted = append(emitted, seq)
+			return more
+		}
+	}
+
+	if err := c.Replay(stop, even, collect(false)); err != nil {
+		t.Fatalf("Replay stopped by emit = %v, want nil", err)
+	}
+	if fmt.Sprint(emitted) != "[3]" {
+		t.Fatalf("emitted %v before emit stopped the loop, want [3]", emitted)
+	}
+	if err := c.Replay(stop, even, collect(true)); !errors.Is(err, ErrStopped) {
+		t.Fatalf("Replay at the tail with stop closed = %v, want ErrStopped", err)
+	}
+	if fmt.Sprint(emitted) != "[3 5]" {
+		t.Fatalf("emitted %v, want [3 5]", emitted)
+	}
+	// Seqs 1 and 2 were skipped; 4 and 6 were not, since the emitted but
+	// unacked seq 3 lies between them and the acked prefix.
+	if acked, _ := s.Acked("sub"); acked != 2 {
+		t.Fatalf("acked after replay = %d, want 2", acked)
+	}
+
+	if err := c.Ack(6); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Append([]byte("not a message")); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Replay(stop, even, collect(true)); !errors.Is(err, ErrUndecodable) {
+		t.Fatalf("Replay over a foreign record = %v, want ErrUndecodable", err)
+	}
+	if acked, _ := s.Acked("sub"); acked != 6 {
+		t.Fatalf("acked after undecodable record = %d, want 6 (not skipped)", acked)
 	}
 }
 

@@ -83,8 +83,9 @@ func WithPolicy(p Policy) SubOption {
 // name persists until Unsubscribe, and only one handle may hold it at a
 // time.
 //
-// In callback mode each notification is acked automatically when the
-// callback returns (see WithManualAck). In channel mode acks are always
+// In callback mode the callback runs on the handle's delivery goroutine,
+// as with any WithCallback, and each notification is acked automatically
+// when the callback returns (see WithManualAck). In channel mode acks are always
 // explicit: call Handle.Ack with the Notification.Seq once the
 // notification is processed.
 func WithDurable(name string) SubOption {
