@@ -31,8 +31,14 @@ import (
 // attributes) and the compatible equality keys, then verifies candidates
 // with the sound Covers test; a scan that misses a cover only costs
 // forwarded frames, never correctness. Finding the roots a new entry
-// demotes scans the signature-superset groups with an O(1) root check per
-// member. Both scans are deterministic for a fixed operation sequence.
+// demotes never visits covered members: each group keeps its roots in a
+// list of their own, and every root is also indexed under each of its
+// pins ("attr\x01value"). A root the entry covers pins every value the
+// entry pins, so an entry with pins scans only the roots under its
+// rarest pin, and an entry without pins only its signature-superset
+// groups' root lists. The cost of an insert thus follows the candidate
+// roots, not the table size. Both scans are deterministic for a fixed
+// operation sequence.
 //
 // Mutations return Transitions — the delta of each affected entry's
 // advertisement state — which the broker translates into subscribe and
@@ -44,9 +50,17 @@ type Forest struct {
 	// attrGroups indexes groups by member attribute for superset lookups
 	// (demotion); group order per attribute is creation order.
 	attrGroups map[string][]*sigGroup
+	// pinRoots indexes the roots by pin key: a root pinning k attributes
+	// sits in k lists. Lists are unordered (swap-delete) and a key leaves
+	// the map with its last root.
+	pinRoots map[string][]*fentry
 
 	roots  int // conjunctive entries with no parent
 	opaque int // non-conjunctive (always-forward) entries
+
+	// demoteScanned counts the candidate roots demotableRoots examined;
+	// tests and BenchmarkForestInsert read it.
+	demoteScanned int
 }
 
 // maxSigAttrs bounds the subset enumeration of the cover lookup. A
@@ -59,27 +73,39 @@ const maxSigAttrs = 8
 type fentry struct {
 	id     uint64
 	origin int
-	sub    *subscription.Subscription
 	preds  []subscription.Predicate
-	opaque bool
 
-	sig    string            // signature: sorted attr names, \x00-joined
-	attrs  []string          // signature attrs, sorted
-	pins   map[string]string // attr -> value for single string-equality attrs
-	eqKey  string            // bucket key within the signature group
-	bucket int               // index into its bucket slice (swap-delete)
+	// Positions are int32 so that they and opaque fill one word; a forest
+	// holds one entry per subscription.
+	bucket  int32 // index into its bucket slice (swap-delete)
+	rootPos int32 // index into group.roots while a root (swap-delete)
+	opaque  bool
+
+	group *sigGroup // its signature group
+	attrs []string  // signature attrs, sorted
+	pins  []pin     // single string-equality attrs, sorted by attr
+	eqKey string    // bucket key within the signature group
 
 	parent   *fentry
 	children map[uint64]*fentry
 }
 
+// pin is an attribute an entry constrains by exactly one predicate, a
+// string equality. key is "attr\x01value": the attr's part of the entry's
+// bucket key and the entry's key in Forest.pinRoots.
+type pin struct {
+	key string
+	n   int32 // len(attr)
+	pos int32 // index into Forest.pinRoots[key] while a root (swap-delete)
+}
+
+func (p *pin) attr() string { return p.key[:p.n] }
+
 // sigGroup holds all conjunctive entries sharing one attribute signature.
 type sigGroup struct {
-	sig     string
 	attrs   []string
 	buckets map[string][]*fentry
-	keys    []string // sorted bucket keys, for deterministic demotion scans
-	size    int
+	roots   []*fentry // the members with no parent, unordered
 }
 
 // Transition is one entry's advertisement-state change. Existed/Exists
@@ -108,6 +134,7 @@ func NewForest() *Forest {
 		entries:    make(map[uint64]*fentry),
 		groups:     make(map[string]*sigGroup),
 		attrGroups: make(map[string][]*sigGroup),
+		pinRoots:   make(map[string][]*fentry),
 	}
 }
 
@@ -153,7 +180,7 @@ func (f *Forest) Insert(s *subscription.Subscription, origin int) []Transition {
 	if old := f.entries[s.ID]; old != nil {
 		trs = f.Remove(s.ID)
 	}
-	e := &fentry{id: s.ID, origin: origin, sub: s}
+	e := &fentry{id: s.ID, origin: origin}
 	if preds, ok := Conjunctive(s.Root); ok {
 		e.preds = preds
 		e.attrs = signatureAttrs(preds)
@@ -171,15 +198,12 @@ func (f *Forest) Insert(s *subscription.Subscription, origin int) []Transition {
 			Exists: true, NewOrigin: origin,
 		})
 	}
-	e.sig = strings.Join(e.attrs, "\x00")
-	e.pins = pinnedValues(e.preds)
+	e.pins = pinsOf(e.preds)
 	e.eqKey = eqKeyFor(e.attrs, e.pins)
 
 	// Attach under the best cover reachable through the index, if any.
 	if p := f.findParent(e); p != nil {
 		f.link(p, e)
-	} else {
-		f.roots++
 	}
 	f.addToGroup(e)
 
@@ -199,7 +223,7 @@ func (f *Forest) Insert(s *subscription.Subscription, origin int) []Transition {
 			Exists: true, NewOrigin: r.origin,
 			NewCovered: true, NewCoverOrigin: e.origin,
 		}
-		f.roots--
+		f.dropRoot(r)
 		f.link(e, r)
 		trs = append(trs, old)
 	}
@@ -240,14 +264,18 @@ func (f *Forest) RemoveBatch(ids []uint64) []Transition {
 // index for a fresh cover, becoming a root when none is found.
 func (f *Forest) removeMarked(dying map[uint64]*fentry) []Transition {
 	// Detach the dying entries from groups first so no search can pick one.
+	// Detaching in ID order keeps the buckets' swap-delete order, and with
+	// it findParent's choice, a function of the operation sequence alone.
 	ids := make([]uint64, 0, len(dying))
-	for id, e := range dying {
+	for id := range dying {
 		ids = append(ids, id)
-		if !e.opaque {
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	for _, id := range ids {
+		if e := dying[id]; !e.opaque {
 			f.removeFromGroup(e)
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 
 	var trs []Transition
 	var orphans []*fentry
@@ -262,8 +290,6 @@ func (f *Forest) removeMarked(dying map[uint64]*fentry) []Transition {
 			if dying[e.parent.id] == nil {
 				delete(e.parent.children, id)
 			}
-		} else {
-			f.roots--
 		}
 		delete(f.entries, id)
 		trs = append(trs, tr)
@@ -297,7 +323,7 @@ func (f *Forest) removeMarked(dying map[uint64]*fentry) []Transition {
 			tr.NewCovered = true
 			tr.NewCoverOrigin = anc.origin
 		} else {
-			f.roots++
+			f.addRoot(c)
 		}
 		trs = append(trs, tr)
 	}
@@ -352,30 +378,28 @@ func (f *Forest) findParent(e *fentry) *fentry {
 // compatible with e restricted to the subset mask, scanning each bucket
 // for the first entry above e (preferring a same-origin one).
 func (f *Forest) scanGroup(g *sigGroup, e *fentry, mask int) *fentry {
-	// Collect the subset's attrs and which of them e pins.
-	var attrs []string
+	// One key part per subset attr; note which of them e pins.
+	var parts, keys []string
+	var pinIdx []int
 	for i, a := range e.attrs {
-		if mask&(1<<i) != 0 {
-			attrs = append(attrs, a)
+		if mask&(1<<i) == 0 {
+			continue
 		}
+		if p := e.pin(a); p != nil {
+			pinIdx = append(pinIdx, len(parts))
+			keys = append(keys, p.key)
+		}
+		parts = append(parts, "\x02")
 	}
 	var best *fentry
 	// Enumerate pin choices: each pinned attr may appear pinned or wild in
 	// the cover's key; unpinned attrs are always wild.
-	var pinIdx []int
-	for i, a := range attrs {
-		if _, ok := e.pins[a]; ok {
-			pinIdx = append(pinIdx, i)
-		}
-	}
-	parts := make([]string, len(attrs))
 	for choice := (1 << len(pinIdx)) - 1; choice >= 0; choice-- {
-		for i := range parts {
-			parts[i] = "\x02"
-		}
 		for j, i := range pinIdx {
 			if choice&(1<<j) != 0 {
-				parts[i] = attrs[i] + "\x01" + e.pins[attrs[i]]
+				parts[i] = keys[j]
+			} else {
+				parts[i] = "\x02"
 			}
 		}
 		for _, cand := range g.buckets[strings.Join(parts, "\x00")] {
@@ -393,35 +417,44 @@ func (f *Forest) scanGroup(g *sigGroup, e *fentry, mask int) *fentry {
 	return best
 }
 
-// demotableRoots returns the current roots e covers, in deterministic
-// order: candidate groups are those whose signature contains every attr of
-// e, found through the per-attribute group index and scanned in sorted
-// bucket-key order.
+// demotableRoots returns the current roots e covers, sorted by ID. A root
+// e covers pins each attr e pins to the same value (pinsCompatible), so
+// when e pins anything the list under its rarest pin holds every
+// candidate. Otherwise the candidates are the roots of the groups whose
+// signature contains every attr of e, found through the per-attribute
+// group index.
 func (f *Forest) demotableRoots(e *fentry) []*fentry {
-	// The rarest attribute of e has the fewest groups to scan.
-	var cands []*sigGroup
-	for i, a := range e.attrs {
-		gs := f.attrGroups[a]
-		if i == 0 || len(gs) < len(cands) {
-			cands = gs
+	var out []*fentry
+	scan := func(cands []*fentry) {
+		f.demoteScanned += len(cands)
+		for _, r := range cands {
+			if r == e || !pinsCompatible(e.pins, r.pins) || !above(e, r) {
+				continue
+			}
+			out = append(out, r)
 		}
 	}
-	var out []*fentry
-	for _, g := range cands {
-		if !containsAll(g.attrs, e.attrs) {
-			continue
+	if len(e.pins) > 0 {
+		var cands []*fentry
+		for i := range e.pins {
+			l := f.pinRoots[e.pins[i].key]
+			if i == 0 || len(l) < len(cands) {
+				cands = l
+			}
 		}
-		for _, key := range g.keys {
-			for _, r := range g.buckets[key] {
-				// Root check first — one load — then pin compatibility,
-				// then the full covering test.
-				if r.parent != nil || r.id == e.id {
-					continue
-				}
-				if !pinsCompatible(e.pins, r.pins) || !above(e, r) {
-					continue
-				}
-				out = append(out, r)
+		scan(cands)
+	} else {
+		// The rarest attribute of e has the fewest groups to scan.
+		var groups []*sigGroup
+		for i, a := range e.attrs {
+			gs := f.attrGroups[a]
+			if i == 0 || len(gs) < len(groups) {
+				groups = gs
+			}
+		}
+		for _, g := range groups {
+			if containsAll(g.attrs, e.attrs) {
+				scan(g.roots)
 			}
 		}
 	}
@@ -433,54 +466,106 @@ func (f *Forest) demotableRoots(e *fentry) []*fentry {
 // cover could possibly be covered: every pinned attribute of the cover
 // must be pinned to the same value by the member. (A member constraining
 // the attr some other way is rejected here conservatively; Covers would
-// reject it too in all but exotic cases.)
-func pinsCompatible(cover, member map[string]string) bool {
-	for a, v := range cover {
-		if member[a] != v {
+// reject it too in all but exotic cases.) Both lists are sorted by attr.
+func pinsCompatible(cover, member []pin) bool {
+	j := 0
+	for i := range cover {
+		a := cover[i].attr()
+		for j < len(member) && member[j].attr() < a {
+			j++
+		}
+		if j == len(member) || member[j].key != cover[i].key {
 			return false
 		}
+		j++
 	}
 	return true
 }
 
-// addToGroup inserts e into its signature group and bucket.
+// pin returns e's pin on attr a, or nil.
+func (e *fentry) pin(a string) *pin {
+	for i := range e.pins {
+		if e.pins[i].attr() == a {
+			return &e.pins[i]
+		}
+	}
+	return nil
+}
+
+// addRoot enters e, a member of its group with no parent, in the root
+// index.
+func (f *Forest) addRoot(e *fentry) {
+	g := e.group
+	e.rootPos = int32(len(g.roots))
+	g.roots = append(g.roots, e)
+	for i := range e.pins {
+		p := &e.pins[i]
+		l := f.pinRoots[p.key]
+		p.pos = int32(len(l))
+		f.pinRoots[p.key] = append(l, e)
+	}
+	f.roots++
+}
+
+// dropRoot takes e out of the root index: it gained a parent or is dying.
+func (f *Forest) dropRoot(e *fentry) {
+	g := e.group
+	last := int32(len(g.roots) - 1)
+	g.roots[e.rootPos] = g.roots[last]
+	g.roots[e.rootPos].rootPos = e.rootPos
+	g.roots[last] = nil
+	g.roots = g.roots[:last]
+	for i := range e.pins {
+		p := &e.pins[i]
+		l := f.pinRoots[p.key]
+		last := int32(len(l) - 1)
+		if last == 0 {
+			delete(f.pinRoots, p.key)
+			continue
+		}
+		moved := l[last]
+		l[p.pos] = moved
+		moved.pin(p.attr()).pos = p.pos
+		l[last] = nil
+		f.pinRoots[p.key] = l[:last]
+	}
+	f.roots--
+}
+
+// addToGroup inserts e into its signature group and bucket, and into the
+// root index when it has no parent.
 func (f *Forest) addToGroup(e *fentry) {
-	g := f.groups[e.sig]
+	sig := strings.Join(e.attrs, "\x00")
+	g := f.groups[sig]
 	if g == nil {
-		g = &sigGroup{sig: e.sig, attrs: e.attrs, buckets: make(map[string][]*fentry)}
-		f.groups[e.sig] = g
+		g = &sigGroup{attrs: e.attrs, buckets: make(map[string][]*fentry)}
+		f.groups[sig] = g
 		for _, a := range e.attrs {
 			f.attrGroups[a] = append(f.attrGroups[a], g)
 		}
 	}
-	b, ok := g.buckets[e.eqKey]
-	if !ok {
-		i := sort.SearchStrings(g.keys, e.eqKey)
-		g.keys = append(g.keys, "")
-		copy(g.keys[i+1:], g.keys[i:])
-		g.keys[i] = e.eqKey
-	}
-	e.bucket = len(b)
+	e.group = g
+	b := g.buckets[e.eqKey]
+	e.bucket = int32(len(b))
 	g.buckets[e.eqKey] = append(b, e)
-	g.size++
+	if e.parent == nil {
+		f.addRoot(e)
+	}
 }
 
-// removeFromGroup swap-deletes e from its bucket; empty buckets and groups
-// stay allocated (signatures recur; group count is bounded by shape
-// classes, not population).
+// removeFromGroup swap-deletes e from its bucket, and from the root index
+// when it is a root; empty buckets and groups stay allocated (signatures
+// recur; group count is bounded by shape classes, not population).
 func (f *Forest) removeFromGroup(e *fentry) {
-	g := f.groups[e.sig]
-	if g == nil {
-		return
-	}
+	g := e.group
 	b := g.buckets[e.eqKey]
-	last := len(b) - 1
-	if e.bucket <= last && b[e.bucket] == e {
-		b[e.bucket] = b[last]
-		b[e.bucket].bucket = e.bucket
-		b[last] = nil
-		g.buckets[e.eqKey] = b[:last]
-		g.size--
+	last := int32(len(b) - 1)
+	b[e.bucket] = b[last]
+	b[e.bucket].bucket = e.bucket
+	b[last] = nil
+	g.buckets[e.eqKey] = b[:last]
+	if e.parent == nil {
+		f.dropRoot(e)
 	}
 }
 
@@ -515,32 +600,38 @@ func signatureAttrs(preds []subscription.Predicate) []string {
 	return out
 }
 
-// pinnedValues maps each attribute constrained by exactly one predicate
-// that is a string equality to its pinned value.
-func pinnedValues(preds []subscription.Predicate) map[string]string {
-	pins := make(map[string]string)
-	counts := make(map[string]int)
-	for _, p := range preds {
-		counts[p.Attr]++
-		if p.Op == subscription.OpEq && p.Value.Kind() == event.KindString {
-			pins[p.Attr] = p.Value.AsString()
+// pinsOf returns the pins of preds — each attribute constrained by exactly
+// one predicate that is a string equality — sorted by attribute.
+func pinsOf(preds []subscription.Predicate) []pin {
+	var out []pin
+	for i, p := range preds {
+		if p.Op != subscription.OpEq || p.Value.Kind() != event.KindString {
+			continue
+		}
+		once := true
+		for j, q := range preds {
+			if j != i && q.Attr == p.Attr {
+				once = false
+				break
+			}
+		}
+		if once {
+			out = append(out, pin{key: p.Attr + "\x01" + p.Value.AsString(), n: int32(len(p.Attr))})
 		}
 	}
-	for a, n := range counts {
-		if n != 1 {
-			delete(pins, a)
-		}
-	}
-	return pins
+	sort.Slice(out, func(i, j int) bool { return out[i].attr() < out[j].attr() })
+	return out
 }
 
-// eqKeyFor builds the bucket key: per signature attr, either the pinned
-// "attr\x01value" or the wildcard marker.
-func eqKeyFor(attrs []string, pins map[string]string) string {
+// eqKeyFor builds the bucket key: per signature attr, either its pin key
+// or the wildcard marker. Both lists are sorted by attr.
+func eqKeyFor(attrs []string, pins []pin) string {
 	parts := make([]string, len(attrs))
+	j := 0
 	for i, a := range attrs {
-		if v, ok := pins[a]; ok {
-			parts[i] = a + "\x01" + v
+		if j < len(pins) && pins[j].attr() == a {
+			parts[i] = pins[j].key
+			j++
 		} else {
 			parts[i] = "\x02"
 		}
@@ -566,11 +657,12 @@ func subsetSig(attrs []string, mask int) string {
 }
 
 // Validate checks the forest invariants — every parent strictly above its
-// child, consistent child links, correct root/opaque counts — and returns
-// a description of the first violation. Tests and the fuzz target call it
-// after every mutation.
+// child, consistent child links, correct root/opaque counts, and a root
+// index holding exactly the roots at their recorded positions — and
+// returns a description of the first violation. Tests and the fuzz target
+// call it after every mutation.
 func (f *Forest) Validate() string {
-	roots, opaque := 0, 0
+	roots, opaque, pins := 0, 0, 0
 	for id, e := range f.entries {
 		if e.id != id {
 			return "entry id mismatch"
@@ -584,6 +676,16 @@ func (f *Forest) Validate() string {
 		}
 		if e.parent == nil {
 			roots++
+			pins += len(e.pins)
+			if g := e.group; int(e.rootPos) >= len(g.roots) || g.roots[e.rootPos] != e {
+				return "root missing from its group's root list"
+			}
+			for i := range e.pins {
+				p := &e.pins[i]
+				if l := f.pinRoots[p.key]; int(p.pos) >= len(l) || l[p.pos] != e {
+					return "root missing from its pin's root list"
+				}
+			}
 		} else {
 			p := e.parent
 			if f.entries[p.id] != p {
@@ -610,6 +712,37 @@ func (f *Forest) Validate() string {
 	}
 	if opaque != f.opaque {
 		return "opaque count drift"
+	}
+	// Every indexed entry is a live root. Each root was found above at its
+	// own slot in every list it belongs to, so equal sizes leave no slot
+	// for anything else: the index holds exactly the roots.
+	live := func(r *fentry) bool { return f.entries[r.id] == r && !r.opaque && r.parent == nil }
+	indexed := 0
+	for _, g := range f.groups {
+		for _, r := range g.roots {
+			if !live(r) || r.group != g {
+				return "group root list holds a non-root"
+			}
+		}
+		indexed += len(g.roots)
+	}
+	if indexed != f.roots {
+		return "group root lists disagree with the root count"
+	}
+	indexed = 0
+	for _, l := range f.pinRoots {
+		if len(l) == 0 {
+			return "empty pin root list kept"
+		}
+		for _, r := range l {
+			if !live(r) {
+				return "pin root list holds a non-root"
+			}
+		}
+		indexed += len(l)
+	}
+	if indexed != pins {
+		return "pin root lists disagree with the roots' pins"
 	}
 	return ""
 }

@@ -2,6 +2,7 @@ package covering
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 
 	"dimprune/internal/event"
@@ -320,13 +321,74 @@ func TestForestAdvertisementSemantics(t *testing.T) {
 	}
 }
 
+// bruteDemotable is demotableRoots by its definition, from a scan of every
+// entry: the roots other than e whose signature holds all of e's attrs,
+// that pin every attr e pins to the same value, and that e is strictly
+// above, in ascending ID order.
+func bruteDemotable(f *Forest, e *fentry) []uint64 {
+	pinned := func(preds []subscription.Predicate) map[string]string {
+		pins, counts := map[string]string{}, map[string]int{}
+		for _, p := range preds {
+			counts[p.Attr]++
+			if p.Op == subscription.OpEq && p.Value.Kind() == event.KindString {
+				pins[p.Attr] = p.Value.AsString()
+			}
+		}
+		for a, n := range counts {
+			if n != 1 {
+				delete(pins, a)
+			}
+		}
+		return pins
+	}
+	ePins := pinned(e.preds)
+	var out []uint64
+	for _, r := range f.entries {
+		if r == e || r.opaque || r.parent != nil || !containsAll(r.attrs, e.attrs) {
+			continue
+		}
+		rPins, ok := pinned(r.preds), true
+		for a, v := range ePins {
+			if w, has := rPins[a]; !has || w != v {
+				ok = false
+			}
+		}
+		if ok && above(e, r) {
+			out = append(out, r.id)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// checkDemotable compares demotableRoots with bruteDemotable for every
+// conjunctive entry in the forest.
+func checkDemotable(t *testing.T, f *Forest) {
+	t.Helper()
+	for _, e := range f.entries {
+		if e.opaque {
+			continue
+		}
+		var got []uint64
+		for _, r := range f.demotableRoots(e) {
+			got = append(got, r.id)
+		}
+		if want := bruteDemotable(f, e); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("demotableRoots(%d) = %v, a scan of every entry finds %v", e.id, got, want)
+		}
+	}
+}
+
 // FuzzCoverForest drives a random mutation sequence against the forest and
-// checks, after every step, the structural invariants and — at the end —
-// the advertisement-set equivalence against probe events.
+// checks, after every step, the structural invariants and demotableRoots
+// against a scan of every entry and — at the end — the advertisement-set
+// equivalence against probe events. Removals come single and in batches.
 func FuzzCoverForest(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add([]byte{10, 200, 10, 200, 10, 200})
 	f.Add([]byte{255, 254, 253, 0, 0, 0, 128, 64, 32})
+	// `region = "eu"` demotes the root `sector = "tech" and region = "eu"`.
+	f.Add([]byte("X00101!1"))
 	exprs := []string{
 		`price <= 50`,
 		`price <= 20`,
@@ -340,6 +402,13 @@ func FuzzCoverForest(f *testing.F) {
 		`price = 30`,
 		`x = 1`,
 		`price exists`,
+		`sector = "tech" and region = "eu"`,
+		`sector = "tech" and region = "eu" and price <= 40`,
+		`region = "eu"`,
+		`sector = "tech" and sector exists`,
+		`sector = "energy"`,
+		`region = "us" and volume >= 5 and price <= 50`,
+		`sector = "tech" and volume >= 10`,
 	}
 	events := probeEvents()
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -349,10 +418,10 @@ func FuzzCoverForest(f *testing.F) {
 		for i := 0; i+1 < len(data); i += 2 {
 			op, arg := data[i], data[i+1]
 			id := uint64(arg%16 + 1)
-			switch op % 3 {
+			switch op % 4 {
 			case 0, 1: // insert (possibly replacing)
 				s := fsub(t, id, exprs[int(op)%len(exprs)])
-				origin := int(op) % 4
+				origin := int(arg>>4) % 4
 				forest.Insert(s, origin)
 				subs[id] = s
 				origins[id] = origin
@@ -360,10 +429,23 @@ func FuzzCoverForest(f *testing.F) {
 				forest.Remove(id)
 				delete(subs, id)
 				delete(origins, id)
+			case 3: // batch-remove the IDs whose bits arg and op select
+				var ids []uint64
+				for id := range subs {
+					if (uint64(arg)^uint64(op)>>2)&(1<<(id%8)) != 0 {
+						ids = append(ids, id)
+					}
+				}
+				forest.RemoveBatch(ids)
+				for _, id := range ids {
+					delete(subs, id)
+					delete(origins, id)
+				}
 			}
 			if msg := forest.Validate(); msg != "" {
 				t.Fatalf("step %d: invariant violated: %s", i/2, msg)
 			}
+			checkDemotable(t, forest)
 			if forest.Len() != len(subs) {
 				t.Fatalf("step %d: forest len %d, mirror %d", i/2, forest.Len(), len(subs))
 			}

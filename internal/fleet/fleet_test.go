@@ -363,7 +363,9 @@ func TestFleetGatherOneShardAllocs(t *testing.T) {
 		})
 	}
 	one, many := allocsFor(1), allocsFor(len(ids))
-	if many != one {
+	// Under the race detector sync.Pool drops puts at random, so the two
+	// counts differ by chance; the comparison runs without it.
+	if !raceEnabled && many != one {
 		t.Errorf("%.0f allocs per publish matching %d, %.0f matching one: the gather grows", many, len(ids), one)
 	}
 	// The candidate set, shard names, per-shard results and errors, and the
