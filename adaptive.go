@@ -40,11 +40,7 @@ var (
 )
 
 // Dimension returns the embedded engine's active pruning dimension,
-// satisfying PruneTarget. Reading takes only the shared lock — the broker
-// serializes against SetDimension itself, so the engine's read path stays
-// unblocked.
+// satisfying PruneTarget.
 func (e *Embedded) Dimension() Dimension {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
 	return e.b.Dimension()
 }

@@ -311,25 +311,20 @@ func (a *addrList) Set(v string) error {
 }
 
 // logDeliveryHotspots surfaces the per-entry delivery metadata in Stats:
-// the busiest subscriber and, separately, the entry shedding the most to
-// its backpressure policy — the two an operator acts on first.
+// the busiest subscriber, the one an operator looks at first. Drops are
+// not in these rows: a networked subscriber's queue lives in its client
+// process, which counts what its backpressure policy sheds
+// (ClientHandle.Dropped).
 func logDeliveryHotspots(st broker.Stats, logger *log.Logger) {
-	var busiest, loss *broker.EntryDelivery
+	var busiest *broker.EntryDelivery
 	for i := range st.Delivery {
 		ed := &st.Delivery[i]
 		if ed.Delivered > 0 && (busiest == nil || ed.Delivered > busiest.Delivered) {
 			busiest = ed
 		}
-		if ed.Dropped > 0 && (loss == nil || ed.Dropped > loss.Dropped) {
-			loss = ed
-		}
 	}
 	if busiest != nil {
-		logger.Printf("delivery: busiest sub %d (%q): delivered=%d dropped=%d",
-			busiest.SubID, busiest.Subscriber, busiest.Delivered, busiest.Dropped)
-	}
-	if loss != nil && loss != busiest {
-		logger.Printf("delivery: lossiest sub %d (%q): delivered=%d dropped=%d",
-			loss.SubID, loss.Subscriber, loss.Delivered, loss.Dropped)
+		logger.Printf("delivery: busiest sub %d (%q): delivered=%d",
+			busiest.SubID, busiest.Subscriber, busiest.Delivered)
 	}
 }

@@ -31,11 +31,7 @@ func BenchmarkControlPlane(b *testing.B) {
 					mode = "off"
 				}
 				b.Run(fmt.Sprintf("workload=%s/subs=%d/covering=%s", name, subs, mode), func(b *testing.B) {
-					var opts []OverlayOption
-					if !covering {
-						opts = append(opts, WithoutCovering())
-					}
-					net, err := NewLineOverlay(brokers, Network, opts...)
+					net, err := newLineOverlay(brokers, Network, !covering)
 					if err != nil {
 						b.Fatal(err)
 					}

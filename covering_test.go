@@ -246,11 +246,7 @@ func TestCoveringCollapsesControlPlane(t *testing.T) {
 	}
 	measure := func(name string, covering bool) control {
 		t.Helper()
-		var opts []OverlayOption
-		if !covering {
-			opts = append(opts, WithoutCovering())
-		}
-		net, err := NewLineOverlay(brokers, Network, opts...)
+		net, err := newLineOverlay(brokers, Network, !covering)
 		if err != nil {
 			t.Fatal(err)
 		}

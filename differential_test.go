@@ -163,7 +163,7 @@ func simnetDeliveries(t *testing.T, w *diffWorkload, prune, covering bool) (map[
 		}
 		brokers[i] = b
 	}
-	net, err := simnet.NewLine(brokers)
+	net, err := simnet.NewNetwork(brokers, simnet.LineEdges(diffBrokers))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,15 +197,11 @@ func simnetDeliveries(t *testing.T, w *diffWorkload, prune, covering bool) (map[
 // of prunings performed.
 func networkDeliveries(t *testing.T, w *diffWorkload, prune, covering bool) (map[delivPair]bool, bool, uint64, int) {
 	t.Helper()
-	var overlayOpts []OverlayOption
-	if !covering {
-		overlayOpts = append(overlayOpts, WithoutCovering())
-	}
 	var mu sync.Mutex
 	got := make(map[delivPair]bool)
 	dup := false
 	sentinels := make(map[int]int) // publisher broker index → sentinels seen
-	servers, shutdown, err := NewNetworkedLine(diffBrokers, Network, func(at int, d Delivery) {
+	servers, shutdown, err := newNetworkedLine(diffBrokers, Network, func(at int, d Delivery) {
 		mu.Lock()
 		defer mu.Unlock()
 		if d.Msg.ID >= diffSentinelBase {
@@ -220,7 +216,7 @@ func networkDeliveries(t *testing.T, w *diffWorkload, prune, covering bool) (map
 			dup = true
 		}
 		got[p] = true
-	}, overlayOpts...)
+	}, !covering)
 	if err != nil {
 		t.Fatal(err)
 	}

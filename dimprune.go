@@ -55,10 +55,10 @@
 //     run as a concurrent decode → match → per-peer-outbox pipeline; client
 //     sessions mirror the handle API (Client.SubscribeExpr → ClientHandle).
 //     See cmd/brokerd for the daemon.
-//   - Workloads: named scenario generators (NewWorkloadGenerator,
-//     WorkloadNames) producing deterministic seeded event and subscription
-//     streams — the paper's auction plus stock-ticker and fleet-telemetry
-//     scenarios with opposite pruning/covering behavior.
+//   - Workloads: named scenario generators (NewWorkloadGenerator: "auction",
+//     "ticker", "sensornet") producing deterministic seeded event and
+//     subscription streams — the paper's auction plus stock-ticker and
+//     fleet-telemetry scenarios with opposite pruning/covering behavior.
 //
 // The experiment harness regenerating the paper's figures lives behind
 // RunCentralized/RunDistributed and runs on any registered workload
@@ -82,9 +82,3 @@ const (
 	// Throughput keeps pmin, the gate of the paper's counting filter, high (Δ≈eff).
 	Throughput = core.DimThroughput
 )
-
-// PruneOptions tunes the pruning engine (ablation switches).
-type PruneOptions = core.Options
-
-// Rating carries the three heuristic values of an applied pruning.
-type Rating = core.Rating

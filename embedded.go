@@ -14,8 +14,6 @@ type EmbeddedConfig struct {
 	// Dimension selects the pruning heuristic; default Network, the paper's
 	// recommendation for general-purpose systems.
 	Dimension Dimension
-	// PruneOptions tunes the pruning engine.
-	PruneOptions PruneOptions
 	// DisableLearning stops the selectivity model from learning from
 	// published events. By default (false) every published event updates
 	// the model, keeping Δ≈sel ratings current; set it to keep a
@@ -32,9 +30,6 @@ type EmbeddedConfig struct {
 	// magnitude in publish throughput. Enable for machine-crash
 	// durability.
 	WALSync bool
-	// WALSegmentBytes overrides the WAL segment rotation size (default
-	// wal.DefaultSegmentBytes).
-	WALSegmentBytes int64
 }
 
 // Notification is one delivered event.
@@ -102,7 +97,6 @@ func NewEmbedded(cfg EmbeddedConfig) (*Embedded, error) {
 	b, err := broker.New(broker.Config{
 		ID:            "embedded",
 		Dimension:     cfg.Dimension,
-		PruneOptions:  cfg.PruneOptions,
 		ObserveEvents: !cfg.DisableLearning,
 		// The covering plane decides what to advertise to peers; the
 		// embedded engine has none, so skip the forest maintenance.
@@ -113,7 +107,7 @@ func NewEmbedded(cfg EmbeddedConfig) (*Embedded, error) {
 	}
 	e := &Embedded{b: b, subs: make(map[uint64]*Handle)}
 	if cfg.WALDir != "" {
-		w, err := wal.Open(wal.Options{Dir: cfg.WALDir, SegmentBytes: cfg.WALSegmentBytes, Sync: cfg.WALSync})
+		w, err := wal.Open(wal.Options{Dir: cfg.WALDir, Sync: cfg.WALSync})
 		if err != nil {
 			return nil, err
 		}

@@ -107,7 +107,7 @@ func (o *Outgoing) ReleaseEnc() {
 // encodeShared encodes f once for n recipients, returning the shared buffer
 // (with n references) and the payload size for the byte counters. A frame
 // that cannot encode — impossible for broker-built frames — degrades to no
-// buffer and size 0, matching FrameSize's invalid-frame convention.
+// buffer and size 0; the simulated network charges such a frame 0 too.
 func encodeShared(f wire.Frame, n int) (*wire.EncodedFrame, uint64) {
 	enc, err := wire.EncodeFrame(f, int32(n))
 	if err != nil {
@@ -361,13 +361,6 @@ func (b *Broker) SyncFrames(to LinkID) ([]Outgoing, error) {
 		b.counters.BytesSent.Add(size)
 	}
 	return out, nil
-}
-
-// NumLinks returns the number of neighbor links.
-func (b *Broker) NumLinks() int {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return b.links
 }
 
 // SubscribeLocal registers a subscription from a local client and returns
@@ -796,17 +789,6 @@ func (b *Broker) DeliveryMeter(id uint64) *DeliveryMeter {
 		return ent.meter
 	}
 	return nil
-}
-
-// EntryDelivery reads one entry's delivery meter.
-func (b *Broker) EntryDelivery(id uint64) (delivered, dropped uint64, ok bool) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	ent, found := b.entries[id]
-	if !found {
-		return 0, 0, false
-	}
-	return ent.meter.delivered.Load(), ent.meter.dropped.Load(), true
 }
 
 // HandleFrame dispatches any protocol frame from a neighbor.

@@ -332,8 +332,9 @@ func TestDeliveryMetadata(t *testing.T) {
 
 	// Local routing meters its own deliveries.
 	b.PublishLocal(event.Build(1).Int("x", 1).Msg())
-	if d, drop, ok := b.EntryDelivery(1); !ok || d != 1 || drop != 0 {
-		t.Errorf("local entry delivery = %d/%d/%v, want 1/0/true", d, drop, ok)
+	if st := b.Stats(); len(st.Delivery) != 2 || st.Delivery[0].SubID != 1 ||
+		st.Delivery[0].Delivered != 1 || st.Delivery[0].Dropped != 0 {
+		t.Errorf("local entry delivery = %+v, want 1 delivered, 0 dropped", st.Delivery)
 	}
 
 	// External delivery planes report through the entry's meter.
@@ -343,9 +344,6 @@ func TestDeliveryMetadata(t *testing.T) {
 	}
 	m.NoteDelivered(3)
 	m.NoteDropped(2)
-	if d, drop, ok := b.EntryDelivery(2); !ok || d != 3 || drop != 2 {
-		t.Errorf("remote entry delivery = %d/%d/%v, want 3/2/true", d, drop, ok)
-	}
 	if m.Delivered() != 3 || m.Dropped() != 2 {
 		t.Errorf("meter reads %d/%d", m.Delivered(), m.Dropped())
 	}
@@ -376,7 +374,7 @@ func TestDeliveryMetadata(t *testing.T) {
 	if b.Stats().Counters.DeliveriesDropped != 3 {
 		t.Error("stale meter report lost")
 	}
-	if _, _, ok := b.EntryDelivery(2); ok {
-		t.Error("EntryDelivery reports a removed entry")
+	if st := b.Stats(); len(st.Delivery) != 1 || st.Delivery[0].SubID != 1 {
+		t.Errorf("Stats.Delivery after removing entry 2 = %+v", st.Delivery)
 	}
 }

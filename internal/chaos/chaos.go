@@ -88,17 +88,9 @@ type PlacedSub struct {
 
 // New builds the overlay and connects every edge. The caller must Close.
 func New(cfg Config) (*Harness, error) {
-	n := 0
-	for _, e := range cfg.Edges {
-		if e.A < 0 || e.B < 0 {
-			return nil, fmt.Errorf("chaos: negative broker index in edge %+v", e)
-		}
-		if e.A >= n {
-			n = e.A + 1
-		}
-		if e.B >= n {
-			n = e.B + 1
-		}
+	n, err := simnet.BrokerCount(cfg.Edges)
+	if err != nil {
+		return nil, fmt.Errorf("chaos: %w", err)
 	}
 	if n < 2 {
 		return nil, fmt.Errorf("chaos: topology needs >= 2 brokers, got %d", n)

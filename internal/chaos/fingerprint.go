@@ -97,14 +97,9 @@ func (h *Harness) Fingerprint() (Fingerprint, error) {
 // way. Subscriptions are cloned — the simulation's pruning must not share
 // tree nodes with the live overlay under test.
 func ReferenceFingerprint(cfg Config, pop []PlacedSub) (Fingerprint, error) {
-	n := 0
-	for _, e := range cfg.Edges {
-		if e.A >= n {
-			n = e.A + 1
-		}
-		if e.B >= n {
-			n = e.B + 1
-		}
+	n, err := simnet.BrokerCount(cfg.Edges)
+	if err != nil {
+		return nil, err
 	}
 	dim := cfg.Dimension
 	if dim == 0 {

@@ -126,15 +126,3 @@ func (a *AtomicCounters) Reset() {
 	a.Deliveries.Store(0)
 	a.DeliveriesDropped.Store(0)
 }
-
-// Timer measures one timed region; start with Start, stop with Stop.
-// The zero Timer is ready to use.
-type Timer struct {
-	started time.Time
-}
-
-// Start begins timing.
-func (t *Timer) Start() { t.started = time.Now() }
-
-// Stop returns the elapsed time since Start.
-func (t *Timer) Stop() time.Duration { return time.Since(t.started) }

@@ -45,12 +45,3 @@ func TestString(t *testing.T) {
 		t.Errorf("String() = %q", s)
 	}
 }
-
-func TestTimer(t *testing.T) {
-	var tm Timer
-	tm.Start()
-	time.Sleep(time.Millisecond)
-	if d := tm.Stop(); d < time.Millisecond/2 {
-		t.Errorf("Timer measured %v", d)
-	}
-}

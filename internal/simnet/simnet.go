@@ -122,58 +122,11 @@ func (n *Network) Connect(a, b int) error {
 	return nil
 }
 
-// NewLine builds the paper's distributed topology: brokers connected as a
-// line b0 — b1 — … — bn.
-func NewLine(brokers []*broker.Broker) (*Network, error) {
-	n := New()
-	for _, b := range brokers {
-		n.Add(b)
-	}
-	for i := 1; i < len(brokers); i++ {
-		if err := n.Connect(i-1, i); err != nil {
-			return nil, err
-		}
-	}
-	return n, nil
-}
-
-// NewStar builds a hub-and-spoke overlay with brokers[0] as the hub.
-func NewStar(brokers []*broker.Broker) (*Network, error) {
-	n := New()
-	for _, b := range brokers {
-		n.Add(b)
-	}
-	for i := 1; i < len(brokers); i++ {
-		if err := n.Connect(0, i); err != nil {
-			return nil, err
-		}
-	}
-	return n, nil
-}
-
-// NewBalancedTree builds a complete k-ary tree overlay: broker i's children
-// are brokers k·i+1 … k·i+k (while they exist). fanout must be at least 1.
-func NewBalancedTree(brokers []*broker.Broker, fanout int) (*Network, error) {
-	if fanout < 1 {
-		return nil, fmt.Errorf("simnet: tree fanout must be >= 1, got %d", fanout)
-	}
-	n := New()
-	for _, b := range brokers {
-		n.Add(b)
-	}
-	for i := 1; i < len(brokers); i++ {
-		parent := (i - 1) / fanout
-		if err := n.Connect(parent, i); err != nil {
-			return nil, err
-		}
-	}
-	return n, nil
-}
-
 // send enqueues outgoing frames from broker from. Delivery is in-memory
 // (the decoded frame travels, not bytes), so the broker's encode-once
 // buffer is consumed here: its already-computed length is charged to the
 // byte counter and the simulation's reference released back to the pool.
+// A frame without a buffer (one the broker could not encode) is charged 0.
 func (n *Network) send(from int, out []broker.Outgoing) error {
 	for i := range out {
 		o := &out[i]
@@ -188,8 +141,6 @@ func (n *Network) send(from int, out []broker.Outgoing) error {
 		if o.Enc != nil {
 			size = uint64(o.Enc.FrameLen())
 			o.ReleaseEnc()
-		} else {
-			size = uint64(wire.FrameSize(o.Frame))
 		}
 		n.traffic.Bytes += size
 		switch o.Frame.Type {

@@ -56,7 +56,7 @@ func TestConnectRejectsCycles(t *testing.T) {
 }
 
 func TestLineSubscriptionPropagation(t *testing.T) {
-	n, err := NewLine(makeBrokers(t, 5))
+	n, err := NewNetwork(makeBrokers(t, 5), LineEdges(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestLineSubscriptionPropagation(t *testing.T) {
 }
 
 func TestEndToEndDeliveryAcrossLine(t *testing.T) {
-	n, err := NewLine(makeBrokers(t, 5))
+	n, err := NewNetwork(makeBrokers(t, 5), LineEdges(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestEndToEndDeliveryAcrossLine(t *testing.T) {
 }
 
 func TestSelectiveRoutingStopsEarly(t *testing.T) {
-	n, err := NewLine(makeBrokers(t, 5))
+	n, err := NewNetwork(makeBrokers(t, 5), LineEdges(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestSelectiveRoutingStopsEarly(t *testing.T) {
 }
 
 func TestPublishAtSubscriberBroker(t *testing.T) {
-	n, err := NewLine(makeBrokers(t, 3))
+	n, err := NewNetwork(makeBrokers(t, 3), LineEdges(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestPublishAtSubscriberBroker(t *testing.T) {
 }
 
 func TestUnsubscribePropagates(t *testing.T) {
-	n, err := NewLine(makeBrokers(t, 4))
+	n, err := NewNetwork(makeBrokers(t, 4), LineEdges(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestUnsubscribePropagates(t *testing.T) {
 }
 
 func TestStarTopologyRouting(t *testing.T) {
-	n, err := NewStar(makeBrokers(t, 4)) // hub 0, spokes 1..3
+	n, err := NewNetwork(makeBrokers(t, 4), StarEdges(4)) // hub 0, spokes 1..3
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,12 +208,9 @@ func TestStarTopologyRouting(t *testing.T) {
 
 func TestBalancedTreeRouting(t *testing.T) {
 	// 7 brokers, fanout 2: 0-(1,2), 1-(3,4), 2-(5,6).
-	n, err := NewBalancedTree(makeBrokers(t, 7), 2)
+	n, err := NewNetwork(makeBrokers(t, 7), TreeEdges(7, 2))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, err := NewBalancedTree(makeBrokers(t, 3), 0); err == nil {
-		t.Error("zero fanout accepted")
 	}
 	// Subscriber at leaf 6, publisher at leaf 3: path 3→1→0→2→6, 4 hops.
 	if err := n.SubscribeAt(6, mustSub(t, 1, "leaf6", `x = 1`)); err != nil {
@@ -237,7 +234,7 @@ func TestBalancedTreeRouting(t *testing.T) {
 func TestExactlyOnceUnderPruning(t *testing.T) {
 	r := dist.New(99)
 	brokers := makeBrokers(t, 5)
-	n, err := NewLine(brokers)
+	n, err := NewNetwork(brokers, LineEdges(len(brokers)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +314,7 @@ func TestDeterministicReplay(t *testing.T) {
 	run := func() (uint64, []uint64) {
 		r := dist.New(7)
 		brokers := makeBrokers(t, 4)
-		n, err := NewLine(brokers)
+		n, err := NewNetwork(brokers, LineEdges(len(brokers)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -364,7 +361,7 @@ func TestPruningIncreasesTrafficMonotone(t *testing.T) {
 	load := func(pruneAll bool) uint64 {
 		r := dist.New(21)
 		brokers := makeBrokers(t, 5)
-		n, err := NewLine(brokers)
+		n, err := NewNetwork(brokers, LineEdges(len(brokers)))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -59,8 +59,22 @@ func RandomTreeEdges(n int, seed int64) []Edge {
 	return edges
 }
 
-// NewNetwork builds an overlay of the given brokers connected by edges —
-// the general form of NewLine/NewStar/NewBalancedTree. Edges must form an
+// BrokerCount returns the number of brokers an edge list spans: its
+// highest index plus one, or 0 for an empty list. A negative index is an
+// error.
+func BrokerCount(edges []Edge) (int, error) {
+	n := 0
+	for _, e := range edges {
+		if e.A < 0 || e.B < 0 {
+			return 0, fmt.Errorf("simnet: negative broker index in edge %+v", e)
+		}
+		n = max(n, e.A+1, e.B+1)
+	}
+	return n, nil
+}
+
+// NewNetwork builds an overlay of the given brokers connected by edges,
+// e.g. NewNetwork(brokers, LineEdges(len(brokers))). Edges must form an
 // acyclic graph over valid indices (Connect enforces both).
 func NewNetwork(brokers []*broker.Broker, edges []Edge) (*Network, error) {
 	n := New()
@@ -73,12 +87,6 @@ func NewNetwork(brokers []*broker.Broker, edges []Edge) (*Network, error) {
 		}
 	}
 	return n, nil
-}
-
-// NewRandomTree builds a seeded random recursive tree overlay; see
-// RandomTreeEdges.
-func NewRandomTree(brokers []*broker.Broker, seed int64) (*Network, error) {
-	return NewNetwork(brokers, RandomTreeEdges(len(brokers), seed))
 }
 
 // Edges returns the overlay's links in Connect order, one Edge per

@@ -45,28 +45,50 @@ func TestRandomTreeEdgesSeededAndAcyclic(t *testing.T) {
 	}
 }
 
-func TestNewNetworkMatchesNamedConstructors(t *testing.T) {
-	n1, err := NewNetwork(makeBrokers(t, 5), LineEdges(5))
+func TestNewNetworkKeepsEdgeOrder(t *testing.T) {
+	edges := []Edge{{3, 4}, {0, 1}, {2, 1}, {2, 3}}
+	n, err := NewNetwork(makeBrokers(t, 5), edges)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n2, err := NewLine(makeBrokers(t, 5))
-	if err != nil {
+	if !reflect.DeepEqual(n.Edges(), edges) {
+		t.Errorf("Edges() = %v, want %v", n.Edges(), edges)
+	}
+	// Routing crosses every link whatever order they were connected in.
+	if err := n.SubscribeAt(4, mustSub(t, 1, "alice", `x = 1`)); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(n1.Edges(), n2.Edges()) {
-		t.Errorf("edge lists differ: %v vs %v", n1.Edges(), n2.Edges())
-	}
-	// Routing through the generalized constructor behaves identically.
-	if err := n1.SubscribeAt(4, mustSub(t, 1, "alice", `x = 1`)); err != nil {
-		t.Fatal(err)
-	}
-	dels, err := n1.PublishAt(0, event.Build(1).Int("x", 1).Msg())
+	dels, err := n.PublishAt(0, event.Build(1).Int("x", 1).Msg())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(dels) != 1 || dels[0].Broker != 4 {
 		t.Errorf("deliveries = %+v, want one at broker 4", dels)
+	}
+}
+
+func TestBrokerCount(t *testing.T) {
+	cases := []struct {
+		name  string
+		edges []Edge
+		want  int
+		err   bool
+	}{
+		{name: "empty", edges: nil, want: 0},
+		{name: "negative", edges: []Edge{{0, 1}, {-1, 2}}, err: true},
+		{name: "valid", edges: []Edge{{0, 3}, {3, 1}, {1, 2}}, want: 4},
+	}
+	for _, tc := range cases {
+		got, err := BrokerCount(tc.edges)
+		if tc.err {
+			if err == nil {
+				t.Errorf("%s: expected error", tc.name)
+			}
+			continue
+		}
+		if err != nil || got != tc.want {
+			t.Errorf("%s: BrokerCount = %d, %v; want %d", tc.name, got, err, tc.want)
+		}
 	}
 }
 

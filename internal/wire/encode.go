@@ -3,12 +3,8 @@ package wire
 import (
 	"encoding/binary"
 	"io"
-	"math/bits"
 	"sync"
 	"sync/atomic"
-
-	"dimprune/internal/event"
-	"dimprune/internal/subscription"
 )
 
 // Encode-once fast path.
@@ -31,10 +27,6 @@ import (
 //     buffer is back in the pool and will be overwritten by the next encode.
 //   - Bytes() and FrameLen() are read-only views; holders never mutate the
 //     buffer.
-//
-// Callers that only need a frame's encoded size never encode at all: the
-// size visitor (FrameSize, MessageSize, SubscriptionSize) walks the value
-// and sums the exact byte counts the encoder would produce.
 
 // maxHeaderLen is the reserved room for the uvarint length prefix.
 const maxHeaderLen = binary.MaxVarintLen64
@@ -97,9 +89,9 @@ func EncodeFrame(f Frame, refs int32) (*EncodedFrame, error) {
 // while the caller holds a reference.
 func (e *EncodedFrame) Bytes() []byte { return e.buf[e.off:] }
 
-// FrameLen returns the encoded payload length in bytes, the unit FrameSize
-// reports and the traffic counters charge (the stream header is transport
-// framing, not frame payload).
+// FrameLen returns the encoded payload length in bytes, the unit the
+// traffic counters charge (the stream header is transport framing, not
+// frame payload).
 func (e *EncodedFrame) FrameLen() int { return len(e.buf) - maxHeaderLen }
 
 // Retain adds n references. The caller must already hold one.
@@ -129,69 +121,6 @@ func (e *EncodedFrame) Release() {
 func (e *EncodedFrame) WriteTo(w io.Writer) (int64, error) {
 	n, err := w.Write(e.Bytes())
 	return int64(n), err
-}
-
-// --- Size visitor -----------------------------------------------------------
-//
-// Exact encoded sizes without encoding: each function mirrors the
-// corresponding Append* byte for byte (cross-checked by the golden-bytes
-// and round-trip tests, which compare sizes against real encodings).
-
-// uvarintLen returns len(binary.AppendUvarint(nil, v)).
-func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
-
-// varintLen returns len(binary.AppendVarint(nil, v)) (zig-zag).
-func varintLen(v int64) int { return uvarintLen(uint64(v)<<1 ^ uint64(v>>63)) }
-
-// stringSize mirrors appendString.
-func stringSize(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
-
-// valueSize mirrors AppendValue.
-func valueSize(v event.Value) int {
-	switch v.Kind() {
-	case event.KindInt:
-		return 1 + varintLen(v.AsInt())
-	case event.KindFloat:
-		return 9
-	case event.KindString:
-		return 1 + stringSize(v.AsString())
-	case event.KindBool:
-		return 2
-	default:
-		return 1 // AppendValue's defensive poison tag
-	}
-}
-
-// messageSize mirrors AppendMessage.
-func messageSize(m *event.Message) int {
-	n := uvarintLen(m.ID) + uvarintLen(uint64(len(m.Attrs)))
-	for _, a := range m.Attrs {
-		n += stringSize(a.Name) + valueSize(a.Value)
-	}
-	return n
-}
-
-// nodeSize mirrors AppendNode.
-func nodeSize(nd *subscription.Node) int {
-	switch nd.Kind {
-	case subscription.NodeAnd, subscription.NodeOr:
-		n := 1 + uvarintLen(uint64(len(nd.Children)))
-		for _, c := range nd.Children {
-			n += nodeSize(c)
-		}
-		return n
-	default: // leaf
-		n := 1 + stringSize(nd.Pred.Attr) + 2
-		if nd.Pred.Op.NeedsValue() {
-			n += valueSize(nd.Pred.Value)
-		}
-		return n
-	}
-}
-
-// subscriptionSize mirrors AppendSubscription.
-func subscriptionSize(s *subscription.Subscription) int {
-	return uvarintLen(s.ID) + stringSize(s.Subscriber) + nodeSize(s.Root)
 }
 
 // --- Decode-side pools ------------------------------------------------------

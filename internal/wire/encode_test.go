@@ -8,7 +8,6 @@ import (
 	"testing"
 	"unsafe"
 
-	"dimprune/internal/dist"
 	"dimprune/internal/event"
 	"dimprune/internal/subscription"
 )
@@ -50,9 +49,6 @@ func TestEncodedFrameSharing(t *testing.T) {
 	if e.FrameLen() != len(payload) {
 		t.Errorf("FrameLen = %d, payload is %d", e.FrameLen(), len(payload))
 	}
-	if e.FrameLen() != FrameSize(f) {
-		t.Errorf("FrameLen = %d, FrameSize = %d", e.FrameLen(), FrameSize(f))
-	}
 	// Two of three recipients release; the bytes must stay intact.
 	e.Release()
 	e.Release()
@@ -82,50 +78,8 @@ func TestEncodedFrameOverReleasePanics(t *testing.T) {
 	e.Retain(1)
 }
 
-// TestFrameSizeVisitorMatchesEncoder cross-checks the size visitor against
-// real encodings over randomized frames — FrameSize must be exact, not an
-// estimate, because the traffic counters and the simnet/network byte
-// accounting differential rely on it.
-func TestFrameSizeVisitorMatchesEncoder(t *testing.T) {
-	r := dist.New(7)
-	for i := 0; i < 300; i++ {
-		root := randomTree(r, 3)
-		s, err := subscription.New(uint64(r.Intn(1<<40)), fmt.Sprintf("sub%d", r.Intn(1000)), root)
-		if err != nil {
-			continue // randomTree can produce trees New rejects; size only covers valid frames
-		}
-		attrs := []event.Attr{
-			{Name: "price", Value: event.Float(r.Range(0, 100))},
-			{Name: "bids", Value: event.Int(int64(r.Intn(1 << 30)))},
-			{Name: "title", Value: event.String(string(rune('a' + r.Intn(26))))},
-			{Name: "signed", Value: event.Bool(r.Bool(0.5))},
-		}
-		m, err := event.NewMessage(uint64(r.Intn(1<<50)), attrs...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		frames := []Frame{
-			SubscribeFrame(s),
-			UnsubscribeFrame(uint64(r.Intn(1 << 60))),
-			PublishFrame(m),
-			HelloFrame(fmt.Sprintf("client-%d", r.Intn(100))),
-			PeerHelloFrame(&PeerHello{ID: "b0", Members: []string{"b0", fmt.Sprintf("b%d", r.Intn(50))}}),
-			PeerRejectFrame("no"),
-		}
-		for _, f := range frames {
-			enc, err := AppendFrame(nil, f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := FrameSize(f); got != len(enc) {
-				t.Fatalf("%s: FrameSize = %d, encoded %d bytes", f.Type, got, len(enc))
-			}
-		}
-	}
-}
-
 // TestEncodeCallsHook checks the test hook the encode-once assertions build
-// on: EncodeFrame costs exactly one payload encode, FrameSize costs none.
+// on: EncodeFrame costs exactly one payload encode.
 func TestEncodeCallsHook(t *testing.T) {
 	f, _, _ := allocTestFrame(t)
 	start := EncodeCalls()
@@ -136,12 +90,6 @@ func TestEncodeCallsHook(t *testing.T) {
 	e.Release()
 	if got := EncodeCalls() - start; got != 1 {
 		t.Errorf("EncodeFrame performed %d encodes, want 1", got)
-	}
-	start = EncodeCalls()
-	_ = FrameSize(f)
-	_ = MessageSize(f.Msg)
-	if got := EncodeCalls() - start; got != 0 {
-		t.Errorf("size visitor performed %d encodes, want 0", got)
 	}
 }
 

@@ -386,69 +386,6 @@ func DecodeFrame(data []byte) (Frame, int, error) {
 	}
 }
 
-// FrameSize returns the encoded size of f in bytes; the network simulation
-// charges this per link transmission. Invalid frames size to 0. It walks the
-// frame with the size visitor and never encodes or allocates — callers that
-// only need the number pay only the number.
-func FrameSize(f Frame) int {
-	switch f.Type {
-	case FrameSubscribe:
-		if f.Sub == nil {
-			return 0
-		}
-		return 1 + subscriptionSize(f.Sub)
-	case FrameUnsubscribe:
-		return 1 + uvarintLen(f.SubID)
-	case FramePublish:
-		if f.Msg == nil {
-			return 0
-		}
-		return 1 + messageSize(f.Msg)
-	case FrameHello:
-		if f.Subscriber == "" {
-			return 0
-		}
-		return 1 + stringSize(f.Subscriber)
-	case FramePeerHello:
-		if f.Peer == nil || f.Peer.ID == "" {
-			return 0
-		}
-		n := 1 + stringSize(f.Peer.ID) + uvarintLen(uint64(len(f.Peer.Members)))
-		for _, m := range f.Peer.Members {
-			n += stringSize(m)
-		}
-		return n
-	case FramePeerReject:
-		if f.Reason == "" {
-			return 0
-		}
-		return 1 + stringSize(f.Reason)
-	case FrameDurableSubscribe:
-		if f.Name == "" || f.Sub == nil {
-			return 0
-		}
-		return 1 + stringSize(f.Name) + subscriptionSize(f.Sub)
-	case FrameDurablePublish:
-		if f.Name == "" || f.Msg == nil {
-			return 0
-		}
-		return 1 + stringSize(f.Name) + uvarintLen(f.Seq) + messageSize(f.Msg)
-	case FrameAck:
-		if f.Name == "" {
-			return 0
-		}
-		return 1 + stringSize(f.Name) + uvarintLen(f.Seq)
-	case FrameMatchSet:
-		n := 1 + uvarintLen(f.Seq) + uvarintLen(uint64(len(f.Matches)))
-		for _, id := range f.Matches {
-			n += uvarintLen(id)
-		}
-		return n
-	default:
-		return 0
-	}
-}
-
 // maxFrameLen bounds stream frames against corrupt or hostile peers.
 const maxFrameLen = 16 << 20
 

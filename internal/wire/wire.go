@@ -185,11 +185,6 @@ func DecodeMessage(data []byte) (*event.Message, int, error) {
 	return m, off, nil
 }
 
-// MessageSize returns the encoded size of m in bytes, the unit the network
-// simulation charges per link transmission. Computed by the size visitor —
-// no encoding, no allocation.
-func MessageSize(m *event.Message) int { return messageSize(m) }
-
 // node kind tags.
 const (
 	tagAnd  = 1
@@ -327,10 +322,4 @@ func DecodeSubscription(data []byte) (*subscription.Subscription, int, error) {
 		return nil, 0, fmt.Errorf("wire: %w", err)
 	}
 	return &subscription.Subscription{ID: id, Subscriber: sub, Root: root}, off, nil
-}
-
-// SubscriptionSize returns the encoded size of s in bytes. Computed by the
-// size visitor — no encoding, no allocation.
-func SubscriptionSize(s *subscription.Subscription) int {
-	return subscriptionSize(s)
 }

@@ -61,9 +61,6 @@ func TestMessageRoundTrip(t *testing.T) {
 		Flag("signed", false).
 		Msg()
 	enc := AppendMessage(nil, m)
-	if MessageSize(m) != len(enc) {
-		t.Errorf("MessageSize = %d, encoded %d", MessageSize(m), len(enc))
-	}
 	got, n, err := DecodeMessage(enc)
 	if err != nil {
 		t.Fatal(err)
@@ -139,9 +136,6 @@ func TestSubscriptionRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	enc := AppendSubscription(nil, s)
-	if SubscriptionSize(s) != len(enc) {
-		t.Error("SubscriptionSize mismatch")
-	}
 	got, n, err := DecodeSubscription(enc)
 	if err != nil {
 		t.Fatal(err)
@@ -179,9 +173,6 @@ func TestFrameRoundTrips(t *testing.T) {
 		enc, err := AppendFrame(nil, f)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if FrameSize(f) != len(enc) {
-			t.Errorf("FrameSize(%s) = %d, encoded %d", f.Type, FrameSize(f), len(enc))
 		}
 		got, n, err := DecodeFrame(enc)
 		if err != nil {
@@ -282,9 +273,6 @@ func TestFrameErrors(t *testing.T) {
 	}
 	if _, _, err := DecodeFrame([]byte{77}); err == nil {
 		t.Error("unknown type byte accepted")
-	}
-	if FrameSize(Frame{Type: 99}) != 0 {
-		t.Error("invalid frame has nonzero size")
 	}
 }
 

@@ -47,12 +47,6 @@ type Subscription = subscription.Subscription
 // Node is a subscription tree node.
 type Node = subscription.Node
 
-// Predicate is an attribute–operator–value condition.
-type Predicate = subscription.Predicate
-
-// Op enumerates predicate operators.
-type Op = subscription.Op
-
 // Parse converts the text subscription syntax into a tree:
 //
 //	n, err := dimprune.Parse(`(author = "Herbert" or author = "Asimov") and price <= 25`)

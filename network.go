@@ -15,14 +15,11 @@ import (
 // paper's distributed experiments run on).
 type Overlay = simnet.Network
 
-// SimDelivery is one delivery observed in a simulated overlay.
-type SimDelivery = simnet.Delivery
-
 // Traffic aggregates simulated link transmissions.
 type Traffic = simnet.TrafficCounters
 
 // Broker is a sans-IO routing broker; see the networked layer (NewServer)
-// or the simulation (NewLineNetwork) for drivers.
+// or the simulation (NewLineOverlay) for drivers.
 type Broker = broker.Broker
 
 // BrokerConfig configures a broker.
@@ -37,67 +34,20 @@ type Delivery = broker.Delivery
 // NewBroker creates a routing broker.
 func NewBroker(cfg BrokerConfig) (*Broker, error) { return broker.New(cfg) }
 
-// OverlayOption customizes the brokers an overlay constructor builds
-// (NewLineOverlay, NewNetworkedLine).
-type OverlayOption func(*overlayOptions)
-
-type overlayOptions struct {
-	disableCovering bool
-}
-
-// WithoutCovering disables the covering plane on every broker of the
-// overlay: each subscription is forwarded to every peer regardless of
-// covers already advertised. Covering is on by default; this knob exists
-// for measuring its effect and for differential testing.
-func WithoutCovering() OverlayOption {
-	return func(o *overlayOptions) { o.disableCovering = true }
-}
-
-func applyOverlayOptions(opts []OverlayOption) overlayOptions {
-	var o overlayOptions
-	for _, opt := range opts {
-		opt(&o)
+// newLineBrokers builds the n identically configured brokers of a line
+// overlay. disableCovering turns the covering plane off on every one, for
+// the tests that measure covering's effect.
+func newLineBrokers(n int, dim Dimension, disableCovering bool) ([]*broker.Broker, error) {
+	if n < 2 {
+		return nil, fmt.Errorf("dimprune: line overlay needs >= 2 brokers, got %d", n)
 	}
-	return o
-}
-
-// OverlayEdge is one undirected link of an overlay topology, by broker
-// index. Edge lists come from the topology helpers (LineEdges, StarEdges,
-// TreeEdges, RandomTreeEdges, ParseTopology) or by hand; constructors
-// treat A as the dialing side on networked overlays.
-type OverlayEdge = simnet.Edge
-
-// LineEdges returns the paper's line topology over n brokers.
-func LineEdges(n int) []OverlayEdge { return simnet.LineEdges(n) }
-
-// StarEdges returns a hub-and-spoke topology with broker 0 as the hub.
-func StarEdges(n int) []OverlayEdge { return simnet.StarEdges(n) }
-
-// TreeEdges returns a complete fanout-ary tree topology over n brokers.
-func TreeEdges(n, fanout int) []OverlayEdge { return simnet.TreeEdges(n, fanout) }
-
-// RandomTreeEdges returns a seeded uniformly-random recursive tree over n
-// brokers: every acyclic connected shape is reachable, reproducibly.
-func RandomTreeEdges(n int, seed int64) []OverlayEdge {
-	return simnet.RandomTreeEdges(n, seed)
-}
-
-// ParseTopology resolves "line", "star", "tree[:fanout]", or
-// "random:<seed>" into an edge list over n brokers.
-func ParseTopology(name string, n int) ([]OverlayEdge, error) {
-	return simnet.ParseTopology(name, n)
-}
-
-// newOverlayBrokers builds the n identically configured brokers every
-// overlay constructor starts from.
-func newOverlayBrokers(n int, dim Dimension, o overlayOptions) ([]*broker.Broker, error) {
 	brokers := make([]*broker.Broker, n)
 	for i := range brokers {
 		b, err := broker.New(broker.Config{
 			ID:              fmt.Sprintf("b%d", i),
 			Dimension:       dim,
 			ObserveEvents:   true,
-			DisableCovering: o.disableCovering,
+			DisableCovering: disableCovering,
 		})
 		if err != nil {
 			return nil, err
@@ -112,51 +62,16 @@ func newOverlayBrokers(n int, dim Dimension, o overlayOptions) ([]*broker.Broker
 // simulation drives its brokers from one goroutine, so overlay runs stay
 // deterministic; use NewBroker + NewServer for brokers over real
 // connections.
-func NewLineOverlay(n int, dim Dimension, opts ...OverlayOption) (*Overlay, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("dimprune: line network needs >= 2 brokers, got %d", n)
-	}
-	brokers, err := newOverlayBrokers(n, dim, applyOverlayOptions(opts))
-	if err != nil {
-		return nil, err
-	}
-	return simnet.NewLine(brokers)
+func NewLineOverlay(n int, dim Dimension) (*Overlay, error) {
+	return newLineOverlay(n, dim, false)
 }
 
-// NewOverlay builds a simulated overlay with an arbitrary acyclic topology
-// — the general form of NewLineOverlay. The broker count is the highest
-// index named by edges plus one; simnet refuses cyclic or malformed edge
-// sets.
-func NewOverlay(edges []OverlayEdge, dim Dimension, opts ...OverlayOption) (*Overlay, error) {
-	n, err := overlaySize(edges)
+func newLineOverlay(n int, dim Dimension, disableCovering bool) (*Overlay, error) {
+	brokers, err := newLineBrokers(n, dim, disableCovering)
 	if err != nil {
 		return nil, err
 	}
-	brokers, err := newOverlayBrokers(n, dim, applyOverlayOptions(opts))
-	if err != nil {
-		return nil, err
-	}
-	return simnet.NewNetwork(brokers, edges)
-}
-
-// overlaySize derives the broker count from an edge list.
-func overlaySize(edges []OverlayEdge) (int, error) {
-	if len(edges) == 0 {
-		return 0, fmt.Errorf("dimprune: overlay needs at least one edge")
-	}
-	max := 0
-	for _, e := range edges {
-		if e.A < 0 || e.B < 0 {
-			return 0, fmt.Errorf("dimprune: negative broker index in edge %+v", e)
-		}
-		if e.A > max {
-			max = e.A
-		}
-		if e.B > max {
-			max = e.B
-		}
-	}
-	return max + 1, nil
+	return simnet.NewNetwork(brokers, simnet.LineEdges(n))
 }
 
 // Networked re-exports: real transports for broker deployments.
@@ -241,49 +156,18 @@ func NewServer(b *Broker, onDeliver func(Delivery)) *Server {
 	return transport.NewServer(b, onDeliver)
 }
 
-// BrokerPeer is a dialed, auto-reconnecting broker-to-broker link of a
-// networked overlay; see DialPeer.
-type BrokerPeer = transport.Peer
-
-// DialPeer opens a persistent peer link from s to the broker listening at
-// addr (Server.Listen). The link handshakes with a connect-time acyclicity
-// check (an edge that would close an overlay cycle is refused), replays
-// routing state in both directions, and automatically redials with backoff
-// and resyncs when the connection drops. It is the only way onto a
-// listener: Listen closes any connection that does not open with this
-// handshake. Non-local subscriptions learned over peer
-// links are prunable routing entries, exactly as in the simulated overlay.
-func DialPeer(s *Server, addr string) (*BrokerPeer, error) {
-	return s.DialPeer(addr)
-}
-
 // NewNetworkedLine assembles n brokers into a real line overlay
 // b0 — b1 — … — bn-1 over loopback TCP: every broker gets its own Server
-// and peer listener, and each successive pair is connected with DialPeer
-// (handshake, acyclicity check, reconnect). onDeliver, if non-nil,
-// receives every local delivery tagged with the index of the broker that
-// made it — the networked counterpart of the simulated overlay's
-// SimDelivery stream. The returned shutdown function stops all servers.
-func NewNetworkedLine(n int, dim Dimension, onDeliver func(atBroker int, d Delivery), opts ...OverlayOption) ([]*Server, func(), error) {
-	if n < 2 {
-		return nil, nil, fmt.Errorf("dimprune: line overlay needs >= 2 brokers, got %d", n)
-	}
-	return NewNetworkedOverlay(LineEdges(n), dim, onDeliver, opts...)
+// and peer listener, and each broker dials its successor with
+// Server.DialPeer (handshake, acyclicity check, reconnect). onDeliver, if
+// non-nil, receives every local delivery tagged with the index of the
+// broker that made it. The returned shutdown function stops all servers.
+func NewNetworkedLine(n int, dim Dimension, onDeliver func(atBroker int, d Delivery)) ([]*Server, func(), error) {
+	return newNetworkedLine(n, dim, onDeliver, false)
 }
 
-// NewNetworkedOverlay assembles a real broker overlay with an arbitrary
-// acyclic topology over loopback TCP — the general form of
-// NewNetworkedLine. Every broker named by edges gets its own Server and
-// peer listener; each edge is then connected with DialPeer from its A side
-// (handshake, acyclicity check, reconnect-with-jitter). onDeliver, if
-// non-nil, receives every local delivery tagged with the delivering
-// broker's index. The returned shutdown function stops all servers.
-func NewNetworkedOverlay(edges []OverlayEdge, dim Dimension, onDeliver func(atBroker int, d Delivery), opts ...OverlayOption) ([]*Server, func(), error) {
-	n, err := overlaySize(edges)
-	if err != nil {
-		return nil, nil, err
-	}
-	brokers, err := newOverlayBrokers(n, dim, applyOverlayOptions(opts))
+func newNetworkedLine(n int, dim Dimension, onDeliver func(atBroker int, d Delivery), disableCovering bool) ([]*Server, func(), error) {
+	brokers, err := newLineBrokers(n, dim, disableCovering)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -309,13 +193,10 @@ func NewNetworkedOverlay(edges []OverlayEdge, dim Dimension, onDeliver func(atBr
 		servers = append(servers, s)
 		addrs[i] = addr
 	}
-	// Edges connect after every listener is up, so dial order — not index
-	// order — decides assembly; each edge joins two disjoint components of
-	// the forest, which the membership handshake accepts in any sequence.
-	for _, e := range edges {
-		if _, err := servers[e.A].DialPeer(addrs[e.B]); err != nil {
+	for i := 1; i < n; i++ {
+		if _, err := servers[i-1].DialPeer(addrs[i]); err != nil {
 			shutdown()
-			return nil, nil, fmt.Errorf("dimprune: edge %d-%d: %w", e.A, e.B, err)
+			return nil, nil, fmt.Errorf("dimprune: edge %d-%d: %w", i-1, i, err)
 		}
 	}
 	return servers, shutdown, nil

@@ -3,8 +3,8 @@ package dimprune
 import (
 	"dimprune/internal/workload"
 
-	// Populate the workload registry with the standard scenarios; see
-	// WorkloadNames for what importing this package makes available.
+	// Populate the workload registry with the standard scenarios, so
+	// NewWorkloadGenerator resolves every name listed below.
 	_ "dimprune/internal/auction"
 	_ "dimprune/internal/sensornet"
 	_ "dimprune/internal/ticker"
@@ -28,17 +28,8 @@ import (
 // subscription streams. Not safe for concurrent use.
 type WorkloadGenerator = workload.Generator
 
-// WorkloadInfo describes one registered workload scenario.
-type WorkloadInfo = workload.Info
-
 // NewWorkloadGenerator builds a generator for the named registered
 // workload with the given seed.
 func NewWorkloadGenerator(name string, seed uint64) (WorkloadGenerator, error) {
 	return workload.New(name, seed)
 }
-
-// WorkloadNames returns the registered workload names, sorted.
-func WorkloadNames() []string { return workload.Names() }
-
-// LookupWorkload returns the registration for a workload name.
-func LookupWorkload(name string) (WorkloadInfo, bool) { return workload.Lookup(name) }
