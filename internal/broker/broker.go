@@ -34,6 +34,28 @@
 //
 // The deterministic simulation drives brokers from one goroutine; for it
 // the locks are uncontended and behavior is unchanged.
+//
+// # One record per slot
+//
+// Every routing entry is registered in the filter engine, which gives it a
+// dense slot (see internal/filter), and the broker keeps the entry's one
+// routing record at that slot, in a table that grows with the filter's: the
+// origin link, the ID, the subscriber, the original tree, and the count of
+// deliveries route made. route's match visitor reads and writes only the
+// record at the matching slot; an ID reaches its record through the
+// filter's ID → slot map. A record is cleared when its entry leaves the
+// table, so an entry that reuses the slot starts from a zero count, and a
+// DeliveryMeter handed out for the old entry is detached with it.
+//
+// # Borrowed deliveries
+//
+// PublishLocal and HandlePublish return caller-owned slices. Their borrow
+// forms, PublishLocalBorrow and HandlePublishBorrow, lend route's pooled
+// delivery buffer instead: the broker matches under its read lock, releases
+// the lock, calls use with the buffer, and recycles the buffer once use
+// returns. The lock order is therefore broker read lock, released, then
+// whatever use takes — use runs outside the broker lock and may subscribe
+// or unsubscribe, but must not keep the delivery slice.
 package broker
 
 import (
@@ -72,11 +94,12 @@ type Delivery struct {
 // local subscribers. *Broker satisfies it as is; a fleet coordinator
 // satisfies it with no neighbor links, so its Outgoing is always empty.
 // Everything a subscriber can observe is decided behind these three calls
-// and in the one server that makes them.
+// and in the one server that makes them. A publish lends its deliveries to
+// use, which runs once, outside any router lock (see the package comment).
 type Router interface {
 	SubscribeLocal(s *subscription.Subscription) ([]Outgoing, error)
 	UnsubscribeLocal(id uint64) ([]Outgoing, error)
-	PublishLocal(m *event.Message) ([]Outgoing, []Delivery)
+	PublishLocalBorrow(m *event.Message, use func([]Outgoing, []Delivery))
 }
 
 // Outgoing is one frame to transmit on a neighbor link.
@@ -137,14 +160,14 @@ type Config struct {
 	DisableCovering bool
 }
 
-// DeliveryMeter counts one routing entry's delivery outcomes: how many
-// notifications its subscriber accepted and how many its backpressure
-// policy shed. The broker's own routing meters local deliveries itself;
-// queue-based delivery planes (Embedded handles, networked client
-// sessions) obtain the meter once via Broker.DeliveryMeter and report
-// through it lock-free on every delivery. A meter outlives its entry —
-// reports after unsubscribe still land broker-wide but are no longer
-// visible in Stats.
+// DeliveryMeter counts the delivery outcomes a queue-based delivery plane
+// (Embedded handles) reports for one routing entry: how many notifications
+// its subscriber accepted and how many its backpressure policy shed. The
+// plane obtains the meter once via Broker.DeliveryMeter and reports through
+// it lock-free on every delivery; the broker's own routing counts local
+// deliveries in the entry's record instead, and Stats adds the two. A meter
+// outlives its entry — reports after unsubscribe still land broker-wide but
+// are no longer visible in Stats, nor in the entry that reuses its slot.
 type DeliveryMeter struct {
 	delivered atomic.Uint64
 	dropped   atomic.Uint64
@@ -173,11 +196,15 @@ func (dm *DeliveryMeter) Delivered() uint64 { return dm.delivered.Load() }
 // Dropped returns the shed-notification count.
 func (dm *DeliveryMeter) Dropped() uint64 { return dm.dropped.Load() }
 
-// routeEntry is one routing-table row.
-type routeEntry struct {
-	origin   LinkID
-	original *subscription.Subscription // as registered/received; never pruned
-	meter    *DeliveryMeter
+// routeRecord is one routing-table row, kept at its entry's filter slot.
+// original is nil on a free slot.
+type routeRecord struct {
+	origin     LinkID
+	id         uint64
+	subscriber string
+	delivered  atomic.Uint64              // local deliveries route made
+	original   *subscription.Subscription // as registered/received; never pruned
+	meter      *DeliveryMeter             // made by the first DeliveryMeter call
 }
 
 // Broker routes events among local clients and neighbor brokers. It is
@@ -198,9 +225,9 @@ type Broker struct {
 	// iterates live rather than every ID ever issued.
 
 	table   *filter.Engine
+	recs    []routeRecord // filter slot -> routing record
 	model   *selectivity.Model
 	pruner  *core.Engine
-	entries map[uint64]*routeEntry
 	observe bool
 
 	// forest is the covering plane: the partial-order index deciding which
@@ -246,7 +273,6 @@ func New(cfg Config) (*Broker, error) {
 		table:   filter.New(),
 		model:   model,
 		pruner:  pruner,
-		entries: make(map[uint64]*routeEntry),
 		observe: cfg.ObserveEvents,
 	}
 	if !cfg.DisableCovering {
@@ -296,9 +322,9 @@ func (b *Broker) DropLink(l LinkID) ([]Outgoing, int) {
 		}
 	}
 	ids := make([]uint64, 0, 16)
-	for id, ent := range b.entries {
-		if ent.origin == l {
-			ids = append(ids, id)
+	for i := range b.recs {
+		if r := &b.recs[i]; r.original != nil && r.origin == l {
+			ids = append(ids, r.id)
 		}
 	}
 	sortIDs(ids) // deterministic retraction order
@@ -308,16 +334,12 @@ func (b *Broker) DropLink(l LinkID) ([]Outgoing, int) {
 		// origin, and children of dying covers are re-advertised (late
 		// subscribe frames) before any retraction goes out.
 		for _, id := range ids {
-			b.table.Unregister(id)
-			b.pruner.Unregister(id)
-			delete(b.entries, id)
+			b.unregister(b.record(id))
 		}
 		out = b.applyTransitions(b.forest.RemoveBatch(ids), 0)
 	} else {
 		for _, id := range ids {
-			b.table.Unregister(id)
-			b.pruner.Unregister(id)
-			delete(b.entries, id)
+			b.unregister(b.record(id))
 			out = append(out, b.forwardControl(wire.UnsubscribeFrame(id), l)...)
 		}
 	}
@@ -339,28 +361,38 @@ func (b *Broker) SyncFrames(to LinkID) ([]Outgoing, error) {
 	if err := b.checkLink(to); err != nil {
 		return nil, err
 	}
-	ids := make([]uint64, 0, len(b.entries))
-	for id, ent := range b.entries {
-		if ent.origin == to {
-			continue
-		}
-		if b.forest != nil {
-			if covered, coverOrigin, _, ok := b.forest.State(id); ok && covered && coverOrigin != int(to) {
-				continue // an advertised ancestor subsumes it on this link
-			}
-		}
-		ids = append(ids, id)
-	}
-	sortIDs(ids)
-	out := make([]Outgoing, 0, len(ids))
-	for _, id := range ids {
-		f := wire.SubscribeFrame(b.entries[id].original)
+	subs := b.advertisedTo(to)
+	out := make([]Outgoing, 0, len(subs))
+	for _, sub := range subs {
+		f := wire.SubscribeFrame(sub)
 		enc, size := encodeShared(f, 1)
 		out = append(out, Outgoing{Link: to, Frame: f, Enc: enc})
 		b.counters.ControlSent.Add(1)
 		b.counters.BytesSent.Add(size)
 	}
 	return out, nil
+}
+
+// advertisedTo returns, in ascending ID order, the original trees of the
+// entries advertised on link to: every entry not originated there, minus
+// (with the covering plane on) covered entries whose cover is advertised
+// on the same link. Callers hold either lock.
+func (b *Broker) advertisedTo(to LinkID) []*subscription.Subscription {
+	subs := make([]*subscription.Subscription, 0, b.table.NumSubscriptions())
+	for i := range b.recs {
+		r := &b.recs[i]
+		if r.original == nil || r.origin == to {
+			continue
+		}
+		if b.forest != nil {
+			if covered, coverOrigin, _, ok := b.forest.State(r.id); ok && covered && coverOrigin != int(to) {
+				continue // an advertised ancestor subsumes it on this link
+			}
+		}
+		subs = append(subs, r.original)
+	}
+	sort.Slice(subs, func(i, j int) bool { return subs[i].ID < subs[j].ID })
+	return subs
 }
 
 // SubscribeLocal registers a subscription from a local client and returns
@@ -388,7 +420,7 @@ func (b *Broker) HandleSubscribe(from LinkID, s *subscription.Subscription) ([]O
 //dimlint:locked
 func (b *Broker) addSubscription(s *subscription.Subscription, origin LinkID) ([]Outgoing, error) {
 	replaced := false
-	if prev, dup := b.entries[s.ID]; dup {
+	if prev := b.record(s.ID); prev != nil {
 		if prev.origin == LocalLink && origin != LocalLink &&
 			prev.original.Subscriber == s.Subscriber && prev.original.Root.Equal(s.Root) {
 			// Our own local entry echoed back by a neighbor — a reconnect
@@ -411,18 +443,11 @@ func (b *Broker) addSubscription(s *subscription.Subscription, origin LinkID) ([
 			prev.original.Root.Equal(s.Root) {
 			return nil, nil
 		}
-		b.table.Unregister(s.ID)
-		b.pruner.Unregister(s.ID)
-		delete(b.entries, s.ID)
+		b.unregister(prev)
 		replaced = true
 	}
-	if err := b.table.Register(s); err != nil {
+	if err := b.register(s, origin); err != nil {
 		return nil, fmt.Errorf("broker %s: %w", b.id, err)
-	}
-	b.entries[s.ID] = &routeEntry{
-		origin:   origin,
-		original: s,
-		meter:    &DeliveryMeter{counters: &b.counters},
 	}
 	if origin != LocalLink {
 		if err := b.pruner.Register(s); err != nil {
@@ -467,8 +492,8 @@ func (b *Broker) HandleUnsubscribe(from LinkID, id uint64) ([]Outgoing, error) {
 //
 //dimlint:locked
 func (b *Broker) removeSubscription(id uint64, origin LinkID) ([]Outgoing, error) {
-	ent, ok := b.entries[id]
-	if !ok {
+	ent := b.record(id)
+	if ent == nil {
 		if origin != LocalLink {
 			// Network path: a retraction for an entry this broker never
 			// held is overlay-churn noise — e.g. dispatched to a peer link
@@ -492,11 +517,7 @@ func (b *Broker) removeSubscription(id uint64, origin LinkID) ([]Outgoing, error
 		return nil, fmt.Errorf("broker %s: unsubscribe for %d from link %d, registered via %d",
 			b.id, id, origin, ent.origin)
 	}
-	b.table.Unregister(id)
-	if ent.origin != LocalLink {
-		b.pruner.Unregister(id)
-	}
-	delete(b.entries, id)
+	b.unregister(ent)
 	if b.forest == nil {
 		return b.forwardControl(wire.UnsubscribeFrame(id), origin), nil
 	}
@@ -505,6 +526,47 @@ func (b *Broker) removeSubscription(id uint64, origin LinkID) ([]Outgoing, error
 	// roots (late subscribe frames everywhere). Subscribes are emitted
 	// before the retraction so no link ever has a coverage gap.
 	return b.applyTransitions(b.forest.Remove(id), 0), nil
+}
+
+// record returns entry id's routing record, or nil when id is not in the
+// table. Callers hold either lock; the pointer is valid until the table
+// next changes.
+func (b *Broker) record(id uint64) *routeRecord {
+	slot, ok := b.table.Slot(id)
+	if !ok {
+		return nil
+	}
+	return &b.recs[slot]
+}
+
+// register enters s into the filtering table and writes its record at the
+// slot the table gave it. Callers hold the write lock.
+//
+//dimlint:locked
+func (b *Broker) register(s *subscription.Subscription, origin LinkID) error {
+	if err := b.table.Register(s); err != nil {
+		return err
+	}
+	slot, _ := b.table.Slot(s.ID)
+	for len(b.recs) <= int(slot) {
+		b.recs = append(b.recs, routeRecord{})
+	}
+	r := &b.recs[slot]
+	r.origin, r.id, r.subscriber, r.original = origin, s.ID, s.Subscriber, s
+	return nil
+}
+
+// unregister removes the entry whose record is r from the filtering table
+// and the pruner, and clears r for the next entry the slot holds. Callers
+// hold the write lock.
+//
+//dimlint:locked
+func (b *Broker) unregister(r *routeRecord) {
+	if r.origin != LocalLink {
+		b.pruner.Unregister(r.id)
+	}
+	b.table.Unregister(r.id)
+	*r = routeRecord{}
 }
 
 // forwardControl emits a control frame on every live link except the
@@ -617,11 +679,11 @@ func (b *Broker) applyTransitions(trs []covering.Transition, resubID uint64) []O
 			}
 		}
 		if len(subs) > 0 {
-			ent := b.entries[id]
-			if ent == nil {
+			r := b.record(id)
+			if r == nil {
 				continue // unreachable: advertised entries are registered
 			}
-			emit(wire.SubscribeFrame(ent.original), subs)
+			emit(wire.SubscribeFrame(r.original), subs)
 		}
 		if len(unsubs) > 0 {
 			retractions = append(retractions, id)
@@ -643,34 +705,71 @@ func containsLink(set []LinkID, l LinkID) bool {
 	return false
 }
 
-// PublishLocal routes an event injected by a local client.
-func (b *Broker) PublishLocal(m *event.Message) ([]Outgoing, []Delivery) {
+// PublishLocal routes an event injected by a local client. The returned
+// slices are the caller's.
+func (b *Broker) PublishLocal(m *event.Message) (out []Outgoing, dels []Delivery) {
+	b.PublishLocalBorrow(m, func(o []Outgoing, d []Delivery) {
+		out, dels = o, copyDeliveries(d)
+	})
+	return out, dels
+}
+
+// PublishLocalBorrow routes an event injected by a local client and calls
+// use once, after the broker's lock is released, with the frames to
+// forward (use owns them, as PublishLocal's caller does) and the
+// deliveries, which are lent: they are valid only until use returns.
+func (b *Broker) PublishLocalBorrow(m *event.Message, use func([]Outgoing, []Delivery)) {
 	b.mu.RLock()
-	defer b.mu.RUnlock()
 	b.counters.EventsPublished.Add(1)
-	return b.route(m, LocalLink)
+	out, rb := b.route(m, LocalLink)
+	b.mu.RUnlock()
+	use(out, rb.deliveries)
+	b.recycle(rb)
 }
 
 // HandlePublish routes an event forwarded by a neighbor (post-filtering:
-// the event is matched again against this broker's routing table).
-func (b *Broker) HandlePublish(from LinkID, m *event.Message) ([]Outgoing, []Delivery, error) {
+// the event is matched again against this broker's routing table). The
+// returned slices are the caller's.
+func (b *Broker) HandlePublish(from LinkID, m *event.Message) (out []Outgoing, dels []Delivery, err error) {
+	err = b.HandlePublishBorrow(from, m, func(o []Outgoing, d []Delivery) {
+		out, dels = o, copyDeliveries(d)
+	})
+	return out, dels, err
+}
+
+// HandlePublishBorrow is HandlePublish with PublishLocalBorrow's lending
+// contract. An invalid link is an error, and use is not called.
+func (b *Broker) HandlePublishBorrow(from LinkID, m *event.Message, use func([]Outgoing, []Delivery)) error {
 	b.mu.RLock()
-	defer b.mu.RUnlock()
 	if err := b.checkLink(from); err != nil {
-		return nil, nil, err
+		b.mu.RUnlock()
+		return err
 	}
-	out, del := b.route(m, from)
-	return out, del, nil
+	out, rb := b.route(m, from)
+	b.mu.RUnlock()
+	use(out, rb.deliveries)
+	b.recycle(rb)
+	return nil
+}
+
+// copyDeliveries returns a caller-owned copy of lent deliveries (nil when
+// there are none).
+func copyDeliveries(d []Delivery) []Delivery {
+	if len(d) == 0 {
+		return nil
+	}
+	return append([]Delivery(nil), d...)
 }
 
 // route matches the event against the routing table; matching local entries
 // produce deliveries, matching remote entries mark their origin link for one
 // forwarded copy. The link the event arrived on never gets a copy back.
-// Callers hold the read lock; scratch comes from the pool so concurrent
-// routes never share buffers.
+// Callers hold the read lock. The deliveries are returned in a pooled
+// buffer, so concurrent routes never share one; the caller hands it back
+// through recycle once the deliveries are dispatched.
 //
 //dimlint:hotpath
-func (b *Broker) route(m *event.Message, arrived LinkID) ([]Outgoing, []Delivery) {
+func (b *Broker) route(m *event.Message, arrived LinkID) ([]Outgoing, *routeBuffers) {
 	if b.observe {
 		b.model.Observe(m)
 	}
@@ -689,30 +788,27 @@ func (b *Broker) route(m *event.Message, arrived LinkID) ([]Outgoing, []Delivery
 	for _, l := range b.live {
 		rb.matchLinks[l] = false
 	}
-	rb.deliveries = rb.deliveries[:0]
 
 	start := time.Now()
 	matched := 0
-	b.table.MatchVisit(m, func(s *subscription.Subscription) {
+	recs := b.recs
+	b.table.MatchSlots(m, func(slot int32) {
 		matched++
-		ent := b.entries[s.ID]
-		if ent == nil {
-			return // unreachable: table and entries change together
-		}
-		if ent.origin == LocalLink {
+		r := &recs[slot]
+		if r.origin == LocalLink {
 			// Deliver exactly: local entries are never pruned, so a table
 			// match is a true match. (Deliveries lands via the counter
-			// batch below, so only the per-entry meter is touched here.)
-			ent.meter.delivered.Add(1)
+			// batch below, so only the record's count is touched here.)
+			r.delivered.Add(1)
 			rb.deliveries = append(rb.deliveries, Delivery{
-				Subscriber: s.Subscriber,
-				SubID:      s.ID,
+				Subscriber: r.subscriber,
+				SubID:      r.id,
 				Msg:        m,
 			})
 			return
 		}
-		if ent.origin != arrived {
-			rb.matchLinks[ent.origin] = true
+		if r.origin != arrived {
+			rb.matchLinks[r.origin] = true
 		}
 	})
 	b.counters.AddFilterTime(time.Since(start))
@@ -744,16 +840,15 @@ func (b *Broker) route(m *event.Message, arrived LinkID) ([]Outgoing, []Delivery
 			}
 		}
 	}
-	var dels []Delivery
-	if len(rb.deliveries) > 0 {
-		dels = make([]Delivery, len(rb.deliveries))
-		copy(dels, rb.deliveries)
-		for i := range rb.deliveries {
-			rb.deliveries[i] = Delivery{} // release message references while pooled
-		}
-	}
+	return out, rb
+}
+
+// recycle returns route's buffers to the pool, dropping their message
+// references first.
+func (b *Broker) recycle(rb *routeBuffers) {
+	clear(rb.deliveries)
+	rb.deliveries = rb.deliveries[:0]
 	b.routeScratch.Put(rb)
-	return out, dels
 }
 
 // MatchEntries matches m against every routing-table entry — local and
@@ -770,25 +865,31 @@ func (b *Broker) MatchEntries(m *event.Message, fn func(subID uint64, subscriber
 	}
 	start := time.Now()
 	matched := 0
-	b.table.MatchVisit(m, func(s *subscription.Subscription) {
+	recs := b.recs
+	b.table.MatchSlots(m, func(slot int32) {
 		matched++
-		fn(s.ID, s.Subscriber)
+		fn(recs[slot].id, recs[slot].subscriber)
 	})
 	b.counters.AddFilterTime(time.Since(start))
 	b.counters.EventsFiltered.Add(1)
 	b.counters.MatchedEntries.Add(uint64(matched))
 }
 
-// DeliveryMeter returns entry id's delivery meter, or nil for an unknown
-// entry. Delivery planes fetch it once at subscribe time and report
-// per-delivery outcomes without further table lookups.
+// DeliveryMeter returns entry id's delivery meter, making it on the first
+// call, or nil for an unknown entry. Delivery planes fetch it once at
+// subscribe time and report per-delivery outcomes without further table
+// lookups; entries whose deliveries route counts never need one.
 func (b *Broker) DeliveryMeter(id uint64) *DeliveryMeter {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	if ent := b.entries[id]; ent != nil {
-		return ent.meter
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	r := b.record(id)
+	if r == nil {
+		return nil
 	}
-	return nil
+	if r.meter == nil {
+		r.meter = &DeliveryMeter{counters: &b.counters}
+	}
+	return r.meter
 }
 
 // HandleFrame dispatches any protocol frame from a neighbor.
@@ -904,33 +1005,41 @@ type Stats struct {
 }
 
 // Stats returns a snapshot of state and counters. It may run concurrently
-// with routing; counters land atomically per field. Only the entry-map
-// walk happens under the routing lock — the per-entry delivery rows are
-// built and sorted after it is released (routeEntry's fields are
-// immutable and its meter is atomic, so holding the lock buys nothing).
+// with routing; counters land atomically per field. The per-entry delivery
+// rows are read from the records under the routing lock and sorted after
+// it is released.
 func (b *Broker) Stats() Stats {
 	b.mu.RLock()
-	local := 0
-	type entryRef struct {
-		id  uint64
-		ent *routeEntry
-	}
-	refs := make([]entryRef, 0, len(b.entries))
-	for id, ent := range b.entries {
-		if ent.origin == LocalLink {
-			local++
-		}
-		refs = append(refs, entryRef{id: id, ent: ent})
-	}
 	st := Stats{
 		ID:            b.id,
-		LocalSubs:     local,
-		RemoteSubs:    len(b.entries) - local,
 		Associations:  b.table.Associations(),
 		Predicates:    b.table.NumPredicates(),
 		PruningsDone:  b.pruner.Steps(),
 		PruneRemained: b.pruner.Remaining(),
 		Counters:      b.counters.Snapshot(),
+		Delivery:      make([]EntryDelivery, 0, b.table.NumSubscriptions()),
+	}
+	for i := range b.recs {
+		r := &b.recs[i]
+		if r.original == nil {
+			continue
+		}
+		row := EntryDelivery{
+			SubID:      r.id,
+			Subscriber: r.subscriber,
+			Local:      r.origin == LocalLink,
+			Delivered:  r.delivered.Load(),
+		}
+		if r.meter != nil {
+			row.Delivered += r.meter.Delivered()
+			row.Dropped = r.meter.Dropped()
+		}
+		if row.Local {
+			st.LocalSubs++
+		} else {
+			st.RemoteSubs++
+		}
+		st.Delivery = append(st.Delivery, row)
 	}
 	if b.forest != nil {
 		st.CoverRoots = b.forest.Roots()
@@ -939,16 +1048,6 @@ func (b *Broker) Stats() Stats {
 	}
 	b.mu.RUnlock()
 
-	st.Delivery = make([]EntryDelivery, 0, len(refs))
-	for _, r := range refs {
-		st.Delivery = append(st.Delivery, EntryDelivery{
-			SubID:      r.id,
-			Subscriber: r.ent.original.Subscriber,
-			Local:      r.ent.origin == LocalLink,
-			Delivered:  r.ent.meter.delivered.Load(),
-			Dropped:    r.ent.meter.dropped.Load(),
-		})
-	}
 	sort.Slice(st.Delivery, func(i, j int) bool { return st.Delivery[i].SubID < st.Delivery[j].SubID })
 	return st
 }
@@ -962,15 +1061,12 @@ func (b *Broker) ResetCounters() { b.counters.Reset() }
 func (b *Broker) CurrentEntry(id uint64) (current, original *subscription.Subscription, ok bool) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	ent, found := b.entries[id]
-	if !found {
+	r := b.record(id)
+	if r == nil {
 		return nil, nil, false
 	}
-	cur, found := b.table.Subscription(id)
-	if !found {
-		return nil, nil, false
-	}
-	return cur, ent.original, true
+	cur, _ := b.table.Subscription(id)
+	return cur, r.original, true
 }
 
 // NonLocalAssociations counts predicate/subscription associations of
@@ -979,11 +1075,12 @@ func (b *Broker) NonLocalAssociations() int {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	n := 0
-	for id, ent := range b.entries {
-		if ent.origin == LocalLink {
+	for i := range b.recs {
+		r := &b.recs[i]
+		if r.original == nil || r.origin == LocalLink {
 			continue
 		}
-		if cur, ok := b.table.Subscription(id); ok {
+		if cur, ok := b.table.Subscription(r.id); ok {
 			n += cur.NumLeaves()
 		}
 	}

@@ -12,11 +12,14 @@ package broker
 func (b *Broker) EntryIDs() (local, remote []uint64) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	for id, ent := range b.entries {
-		if ent.origin == LocalLink {
-			local = append(local, id)
-		} else {
-			remote = append(remote, id)
+	for i := range b.recs {
+		r := &b.recs[i]
+		switch {
+		case r.original == nil:
+		case r.origin == LocalLink:
+			local = append(local, r.id)
+		default:
+			remote = append(remote, r.id)
 		}
 	}
 	sortIDs(local)
@@ -35,18 +38,10 @@ func (b *Broker) AdvertisedIDs(to LinkID) ([]uint64, error) {
 	if err := b.checkLink(to); err != nil {
 		return nil, err
 	}
-	ids := make([]uint64, 0, len(b.entries))
-	for id, ent := range b.entries {
-		if ent.origin == to {
-			continue
-		}
-		if b.forest != nil {
-			if covered, coverOrigin, _, ok := b.forest.State(id); ok && covered && coverOrigin != int(to) {
-				continue
-			}
-		}
-		ids = append(ids, id)
+	subs := b.advertisedTo(to)
+	ids := make([]uint64, len(subs))
+	for i, s := range subs {
+		ids[i] = s.ID
 	}
-	sortIDs(ids)
 	return ids, nil
 }

@@ -61,12 +61,24 @@
 // event than counting would: a member is visited only when its access leaf
 // is fulfilled, which on the counting path would set one of its bits anyway.
 //
+// # Slots
+//
+// Every registered subscription occupies one dense slot, a small int32
+// index. The one match loop, MatchSlots, hands its visitor the slot of each
+// match, and Slot reports the slot of an ID; clustered members carry their
+// slot inline, so the cluster walk never loads an entry. A slot is stable
+// while its subscription is registered: Update, which is how a pruning step
+// lands, keeps it. Unregister frees the slot, and a later Register may
+// reuse it, so a caller keeping a table indexed by slot clears its row when
+// it unregisters. Match, MatchVisit and MatchCount are thin visitors over
+// MatchSlots.
+//
 // # Concurrency model
 //
 // The engine splits into an immutable read path and a mutation path.
 // Register, Unregister, and Update mutate the registry, the attribute
 // indexes, the clusters, and the dense subscription table; they require
-// exclusive access. Match, MatchVisit, and MatchCount only read that shared
+// exclusive access. MatchSlots and its visitors only read that shared
 // state — all per-event scratch (the fulfilled-predicate stamps and the
 // subscription masks) lives in pooled per-call buffers — so any number
 // of match calls may run concurrently with each other, as long as no
@@ -120,11 +132,11 @@ const (
 	maxSlots = 1 << (31 - conjBits)
 )
 
-// member is one clustered entry with its leaves inline, so the cluster
-// walk reads them without loading the entry.
+// member is one clustered entry with its leaves and its dense slot inline,
+// so the cluster walk never loads the entry.
 type member struct {
 	leafs []predID
-	se    *subEntry
+	slot  int32
 }
 
 // subEntry is the engine's view of one registered subscription.
@@ -257,7 +269,7 @@ func (e *Engine) attach(se *subEntry) {
 			e.clusters = append(e.clusters, nil)
 		}
 		se.pos = int32(len(e.clusters[se.access]))
-		e.clusters[se.access] = append(e.clusters[se.access], member{se.leafs, se})
+		e.clusters[se.access] = append(e.clusters[se.access], member{se.leafs, se.idx})
 		return
 	}
 	e.full[se.idx] = e.walk.run(se)
@@ -376,7 +388,7 @@ func (e *Engine) detach(se *subEntry) {
 		c := e.clusters[se.access]
 		last := len(c) - 1
 		c[se.pos] = c[last]
-		c[se.pos].se.pos = se.pos
+		e.dense[c[se.pos].slot].pos = se.pos
 		c[last] = member{}
 		e.clusters[se.access] = c[:last]
 	} else {
@@ -442,8 +454,8 @@ func (e *Engine) getScratch() *matchScratch {
 // Match appends the IDs of all subscriptions matching m to dst and returns
 // it. The result set is deterministic; its order is unspecified.
 func (e *Engine) Match(m *event.Message, dst []uint64) []uint64 {
-	e.MatchVisit(m, func(s *subscription.Subscription) {
-		dst = append(dst, s.ID)
+	e.MatchSlots(m, func(slot int32) {
+		dst = append(dst, e.dense[slot].sub.ID)
 	})
 	return dst
 }
@@ -451,15 +463,32 @@ func (e *Engine) Match(m *event.Message, dst []uint64) []uint64 {
 // MatchCount returns the number of matching subscriptions.
 func (e *Engine) MatchCount(m *event.Message) int {
 	n := 0
-	e.MatchVisit(m, func(*subscription.Subscription) { n++ })
+	e.MatchSlots(m, func(int32) { n++ })
 	return n
 }
 
 // MatchVisit invokes fn for every subscription whose tree matches m.
 // fn runs on the calling goroutine and must not mutate the engine.
+func (e *Engine) MatchVisit(m *event.Message, fn func(*subscription.Subscription)) {
+	e.MatchSlots(m, func(slot int32) { fn(e.dense[slot].sub) })
+}
+
+// Slot returns the dense slot of registered subscription id (see the
+// package comment for how long a slot stays put).
+func (e *Engine) Slot(id uint64) (int32, bool) {
+	se, ok := e.subs[id]
+	if !ok {
+		return 0, false
+	}
+	return se.idx, true
+}
+
+// MatchSlots invokes fn with the dense slot of every subscription whose
+// tree matches m, each at most once. It is the engine's one match loop;
+// fn runs on the calling goroutine and must not mutate the engine.
 //
 //dimlint:hotpath
-func (e *Engine) MatchVisit(m *event.Message, fn func(*subscription.Subscription)) {
+func (e *Engine) MatchSlots(m *event.Message, fn func(slot int32)) {
 	sc := e.getScratch()
 	sc.epoch++
 	sc.fullList = sc.fullList[:0]
@@ -491,7 +520,7 @@ func (e *Engine) MatchVisit(m *event.Message, fn func(*subscription.Subscription
 			}
 			for _, m := range e.clusters[id] {
 				if sc.allFulfilled(m.leafs) {
-					fn(m.se.sub)
+					fn(m.slot)
 				}
 			}
 		}
@@ -519,7 +548,7 @@ func (e *Engine) MatchVisit(m *event.Message, fn func(*subscription.Subscription
 		for _, slot := range sc.touched {
 			if sc.masks[slot] == e.full[slot] {
 				if se := e.dense[slot]; !se.needsEval || e.evalTree(sc, se) {
-					fn(se.sub)
+					fn(slot)
 				}
 			}
 			sc.masks[slot] = 0

@@ -547,3 +547,46 @@ func TestMaskGateUpdateMovesInnerGuard(t *testing.T) {
 		event.Build(3).Int("b", 3).Msg(): {1},
 	})
 }
+
+// TestSlotContract pins the slot promises callers index tables by:
+// MatchSlots visits the slots Slot reports, clustered and counting members
+// alike, an Update keeps the slot, and Unregister frees it for the next
+// Register.
+func TestSlotContract(t *testing.T) {
+	e := New()
+	exprs := map[uint64]string{1: `x = 1 and y = 2`, 2: `x > 0`, 3: `x = 1 or y = 2`}
+	slots := map[uint64]int32{}
+	for id := uint64(1); id <= 3; id++ {
+		register(t, e, id, exprs[id])
+		slots[id], _ = e.Slot(id)
+	}
+	m := event.Build(1).Int("x", 1).Int("y", 2).Msg()
+	visited := func() map[int32]int {
+		got := map[int32]int{}
+		e.MatchSlots(m, func(slot int32) { got[slot]++ })
+		return got
+	}
+	want := map[int32]int{slots[1]: 1, slots[2]: 1, slots[3]: 1}
+	if got := visited(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("MatchSlots visited %v, want %v", got, want)
+	}
+
+	if err := e.Update(mustSub(t, 1, `y = 2`)); err != nil {
+		t.Fatal(err)
+	}
+	if s, ok := e.Slot(1); !ok || s != slots[1] {
+		t.Fatalf("Update moved entry 1 from slot %d to %d (%v)", slots[1], s, ok)
+	}
+
+	e.Unregister(1)
+	if _, ok := e.Slot(1); ok {
+		t.Fatal("an unregistered entry keeps a slot")
+	}
+	register(t, e, 4, `y = 2`)
+	if s, _ := e.Slot(4); s != slots[1] {
+		t.Fatalf("entry 4 took slot %d, not the freed slot %d", s, slots[1])
+	}
+	if got := visited(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("after reuse MatchSlots visited %v, want %v", got, want)
+	}
+}

@@ -141,7 +141,7 @@ func checkLayout(t *testing.T, e *Engine) {
 	clustered := 0
 	for p, members := range e.clusters {
 		for i, m := range members {
-			se := m.se
+			se := e.dense[m.slot]
 			if se.access != predID(p) || se.pos != int32(i) {
 				t.Fatalf("cluster %d[%d] holds entry %d with access %d at %d", p, i, se.sub.ID, se.access, se.pos)
 			}

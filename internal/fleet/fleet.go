@@ -394,11 +394,13 @@ func (c *Coordinator) UnsubscribeLocal(id uint64) ([]broker.Outgoing, error) {
 	return nil, nil
 }
 
-// PublishLocal is Publish behind the Router seam. Publish only fails on a
-// nil message, which the session server never passes.
-func (c *Coordinator) PublishLocal(m *event.Message) ([]broker.Outgoing, []broker.Delivery) {
+// PublishLocalBorrow is Publish behind the Router seam: the gathered
+// deliveries are the coordinator's own, so lending them costs no copy, and
+// use runs after the scatter released the coordinator's lock. Publish only
+// fails on a nil message, which the session server never passes.
+func (c *Coordinator) PublishLocalBorrow(m *event.Message, use func([]broker.Outgoing, []broker.Delivery)) {
 	dels, _ := c.Publish(m)
-	return nil, dels
+	use(nil, dels)
 }
 
 // scatter runs one scatter/gather pass under the read lock. It returns

@@ -75,19 +75,17 @@ func (s *LocalShard) Publish(m *event.Message) ([]uint64, error) {
 	if s.dead.Load() {
 		return nil, errShardDown
 	}
-	out, dels, err := s.b.HandlePublish(s.link, m)
-	releaseFrames(out)
-	if err != nil {
-		return nil, err
-	}
-	if len(dels) == 0 {
-		return nil, nil
-	}
-	ids := make([]uint64, len(dels))
-	for i, d := range dels {
-		ids[i] = d.SubID
-	}
-	return ids, nil
+	var ids []uint64
+	err := s.b.HandlePublishBorrow(s.link, m, func(out []broker.Outgoing, dels []broker.Delivery) {
+		releaseFrames(out)
+		if len(dels) > 0 {
+			ids = make([]uint64, len(dels))
+			for i, d := range dels {
+				ids[i] = d.SubID
+			}
+		}
+	})
+	return ids, err
 }
 
 // Sync replays the shard's full advertisement state (covers only when the

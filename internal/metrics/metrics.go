@@ -66,12 +66,14 @@ func (c Counters) FilterTimePerEvent() time.Duration {
 	return c.FilterTime / time.Duration(c.EventsFiltered)
 }
 
-// String renders the counters compactly for logs and tools.
+// String renders the counters compactly for brokerd's stats line. It
+// leaves out DeliveriesDropped, which a daemon never feeds: a networked
+// subscriber's drops are counted in its client process.
 func (c Counters) String() string {
 	return fmt.Sprintf(
-		"filtered=%d filterTime=%v matched=%d published=%d forwarded=%d control=%d/%d bytes=%d delivered=%d dropped=%d",
+		"filtered=%d filterTime=%v matched=%d published=%d forwarded=%d control=%d/%d bytes=%d delivered=%d",
 		c.EventsFiltered, c.FilterTime, c.MatchedEntries, c.EventsPublished,
-		c.EventsForwarded, c.ControlSent, c.ControlRecv, c.BytesSent, c.Deliveries, c.DeliveriesDropped)
+		c.EventsForwarded, c.ControlSent, c.ControlRecv, c.BytesSent, c.Deliveries)
 }
 
 // AtomicCounters accumulates the same measurements as Counters but is safe

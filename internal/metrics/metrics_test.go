@@ -39,9 +39,12 @@ func TestFilterTimePerEvent(t *testing.T) {
 }
 
 func TestString(t *testing.T) {
-	c := Counters{EventsFiltered: 9, Deliveries: 3}
+	c := Counters{EventsFiltered: 9, Deliveries: 3, DeliveriesDropped: 7}
 	s := c.String()
 	if !strings.Contains(s, "filtered=9") || !strings.Contains(s, "delivered=3") {
 		t.Errorf("String() = %q", s)
+	}
+	if strings.Contains(s, "dropped") {
+		t.Errorf("String() = %q carries a dropped field no daemon feeds", s)
 	}
 }

@@ -31,8 +31,8 @@ import (
 // Stats are the broker's and read zero without one.
 //
 // The server's own mutex only guards its connection registry (links,
-// clients, listeners, closed); it is never held across router calls or
-// socket writes.
+// clients, listeners, closed); it is never held across router calls,
+// onDeliver callbacks or socket writes.
 type Server struct {
 	mu sync.RWMutex
 	r  broker.Router
@@ -65,8 +65,11 @@ type Server struct {
 
 	listeners []net.Listener
 	onDeliver func(broker.Delivery)
-	logf      func(format string, args ...any)
-	peerDial  func(addr string) (Conn, error)
+	// deliver is dispatch as a func value made once, so lending it to
+	// every publish allocates nothing.
+	deliver  func([]broker.Outgoing, []broker.Delivery)
+	logf     func(format string, args ...any)
+	peerDial func(addr string) (Conn, error)
 
 	// hopLatency tracks the wall time of one forwarded-publish hop through
 	// this broker (decode excluded): match + dispatch onto the outboxes.
@@ -108,7 +111,8 @@ var ErrNoOverlay = errors.New("transport: router is not an overlay broker")
 // NewServer serves a router. onDeliver (optional) receives notifications for
 // local subscribers that are not attached client sessions, one call per
 // matching subscription; it may be called concurrently from publishing
-// goroutines.
+// goroutines. It runs outside the router's and the server's locks, so it
+// may subscribe and unsubscribe on the server.
 func NewServer(r broker.Router, onDeliver func(broker.Delivery)) *Server {
 	s := &Server{
 		r:            r,
@@ -121,6 +125,7 @@ func NewServer(r broker.Router, onDeliver func(broker.Delivery)) *Server {
 		durableNames: make(map[uint64]string),
 		onDeliver:    onDeliver,
 	}
+	s.deliver = s.dispatch
 	if b, ok := r.(*broker.Broker); ok {
 		s.b = b
 		s.members[b.ID()] = struct{}{}
@@ -426,8 +431,7 @@ func (s *Server) handleLinkFrame(from broker.LinkID, f wire.Frame) error {
 		// capture everything routed through this broker.
 		s.logEvent(f.Msg)
 		start := time.Now()
-		out, dels, err := s.b.HandleFrame(from, f)
-		s.dispatch(out, dels)
+		err := s.b.HandlePublishBorrow(from, f.Msg, s.deliver)
 		s.hopLatency.Observe(time.Since(start))
 		return err
 	}
@@ -518,14 +522,15 @@ func (s *Server) retract(id uint64) error {
 }
 
 // Publish injects a local event. Publishes run concurrently: the broker
-// routes under its shared lock and per-peer outboxes order the frames.
+// routes under its shared lock and per-peer outboxes order the frames. The
+// router lends its deliveries to dispatch after releasing its lock, so
+// nothing is copied per event and onDeliver runs outside the router lock.
 func (s *Server) Publish(m *event.Message) {
 	if s.isClosed() {
 		return
 	}
 	s.logEvent(m)
-	out, dels := s.r.PublishLocal(m)
-	s.dispatch(out, dels)
+	s.r.PublishLocalBorrow(m, s.deliver)
 }
 
 // Prune applies up to n pruning steps (exclusive with routing, inside the
@@ -556,13 +561,16 @@ func (s *Server) isClosed() bool {
 // outboxes. It holds the connection registry's read lock only — many
 // dispatches run concurrently, and outboxes serialize per peer. A peer that
 // detaches concurrently just misses the frames (its outbox is closed, and
-// the frame's encoding reference is released here instead).
+// the frame's encoding reference is released here instead). dels may be
+// lent by the router: dispatch keeps no reference to it.
 //
 // A session gets one publish frame per event however many of its
 // subscriptions matched — its client re-matches the frame against every
 // handle, so a frame per subscription would deliver an event matching k
 // handles k times to each. Subscribers without a session go to onDeliver
-// once per matching subscription.
+// once per matching subscription, after the registry lock is released, so
+// a callback may call back into the server (subscribe, unsubscribe) even
+// while a connection is attaching.
 //
 // Encode-once bookkeeping: each Outgoing arrives carrying one reference on
 // its shared encoding, which pushing transfers to the outbox. Client
@@ -574,25 +582,42 @@ func (s *Server) dispatch(out []broker.Outgoing, dels []broker.Delivery) {
 	if len(out) == 0 && len(dels) == 0 {
 		return
 	}
+	sc := dispatchScratches.Get().(*dispatchScratch)
 	s.mu.RLock()
-	defer s.mu.RUnlock()
 	if len(dels) > 0 {
 		var (
 			cacheMsg *event.Message
 			cacheEnc *wire.EncodedFrame
-			owned    bool                              // cacheEnc's base reference is ours to drop
-			sent     = sessionSets.Get().(*sessionSet) // the sessions already handed cacheMsg
+			owned    bool       // cacheEnc's base reference is ours to drop
+			sent     = &sc.sent // the sessions already handed cacheMsg
 		)
-		for _, d := range dels {
-			p := s.clients[d.Subscriber]
+		var (
+			p       *session // the session of d.Subscriber, if attached
+			durable bool     // d.Subscriber is a mangled durable entry
+		)
+		for i, d := range dels {
+			// One session often holds many subscriptions, so its
+			// deliveries come in runs: resolve the session once per run.
+			run := i > 0 && d.Subscriber == dels[i-1].Subscriber
+			if !run {
+				p = s.clients[d.Subscriber]
+				durable = p == nil && isDurableSubscriber(d.Subscriber)
+			}
 			if p == nil {
 				// Mangled durable entries exist only to keep the overlay
 				// routing events here; the WAL pump delivers them, so the
 				// live match is dropped (onDeliver would double-deliver).
-				if s.onDeliver != nil && !isDurableSubscriber(d.Subscriber) {
-					s.onDeliver(d)
+				if s.onDeliver != nil && !durable {
+					if run {
+						sc.orphans[len(sc.orphans)-1].to = i + 1
+					} else {
+						sc.orphans = append(sc.orphans, span{i, i + 1})
+					}
 				}
 				continue
+			}
+			if run && d.Msg == dels[i-1].Msg {
+				continue // the previous delivery already settled this session
 			}
 			f := wire.PublishFrame(d.Msg)
 			if d.Msg != cacheMsg {
@@ -629,7 +654,6 @@ func (s *Server) dispatch(out []broker.Outgoing, dels []broker.Delivery) {
 			cacheEnc.Release()
 		}
 		sent.reset()
-		sessionSets.Put(sent)
 	}
 	for i := range out {
 		o := &out[i]
@@ -638,7 +662,31 @@ func (s *Server) dispatch(out []broker.Outgoing, dels []broker.Delivery) {
 			o.ReleaseEnc() // link detached or outbox closed
 		}
 	}
+	s.mu.RUnlock()
+	for _, r := range sc.orphans {
+		for _, d := range dels[r.from:r.to] {
+			s.onDeliver(d)
+		}
+	}
+	sc.orphans = sc.orphans[:0]
+	dispatchScratches.Put(sc)
 }
+
+// dispatchScratch is the state one dispatch recycles: the session set of
+// the event at hand and the runs of deliveries that go to onDeliver.
+type dispatchScratch struct {
+	sent    sessionSet
+	orphans []span
+}
+
+// span is the run dels[from:to] of one dispatch's deliveries.
+type span struct{ from, to int }
+
+// dispatchScratches recycles dispatch state, so that deduplicating never
+// allocates once a server has seen its usual fan-out.
+var dispatchScratches = sync.Pool{New: func() any {
+	return &dispatchScratch{sent: sessionSet{index: make(map[*session]struct{})}}
+}}
 
 // sessionSet is the set of sessions one event has already been queued for.
 // Its cost follows the deliveries it sees: members are listed, a short
@@ -651,12 +699,6 @@ type sessionSet struct {
 
 // sessionScan is the longest list add scans instead of indexing.
 const sessionScan = 64
-
-// sessionSets recycles the sets between dispatches, so that deduplicating
-// never allocates once a server has seen its usual fan-out.
-var sessionSets = sync.Pool{New: func() any {
-	return &sessionSet{index: make(map[*session]struct{})}
-}}
 
 // add puts p in the set and reports whether it was absent.
 func (t *sessionSet) add(p *session) bool {
